@@ -7,9 +7,6 @@
 // The campaign is reproducible bit-for-bit from -seed: scenario seeds are
 // pre-drawn sequentially from one master rng, so the output — including the
 // combined event-stream digest — is byte-identical for any -parallel value.
-// Orthogonally, -workers N shards each trial's simulation itself across N
-// OS threads (internal/shard); sharded stepping is exact, so the report is
-// also byte-identical for any -workers value.
 //
 //	simfuzz -scenarios 10000 -seed 1 -parallel 4
 //
@@ -37,7 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"timedice/internal/check"
@@ -48,7 +44,6 @@ import (
 	"timedice/internal/policies"
 	"timedice/internal/prof"
 	"timedice/internal/rng"
-	"timedice/internal/shard"
 	"timedice/internal/vtime"
 )
 
@@ -56,10 +51,6 @@ type config struct {
 	scenarios int
 	seed      uint64
 	parallel  int
-	// workers is the sharded-stepping worker count inside each trial's
-	// simulation (engine.System.SetSharding); 1 runs the sequential step
-	// loop. Orthogonal to parallel, which fans whole trials across workers.
-	workers   int
 	shrink    bool
 	window    int    // flight-recorder window, events per worker
 	bundleDir string // where post-mortem bundles land; empty disables them
@@ -96,7 +87,6 @@ func main() {
 	flag.IntVar(&cfg.scenarios, "scenarios", 1000, "number of scenarios to generate and check")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "master seed; the whole campaign is a pure function of it")
 	flag.IntVar(&cfg.parallel, "parallel", 0, "worker count (<=0: one per CPU); does not affect output")
-	flag.IntVar(&cfg.workers, "workers", 1, "sharded-stepping workers inside each simulation (1 = sequential); does not affect output")
 	flag.BoolVar(&cfg.shrink, "shrink", true, "minimize the first failing scenario before reporting it")
 	flag.IntVar(&cfg.window, "recwindow", obs.DefaultRecorderWindow, "flight-recorder window per worker, in telemetry events")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write campaign state to this file after every chunk (enables resumption)")
@@ -108,11 +98,11 @@ func main() {
 	pf := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if cfg.workers < 1 {
-		cfg.workers = 1
+	if err := validate(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "simfuzz:", err)
+		os.Exit(2)
 	}
 	cfg.prog = obs.NewProgress("simfuzz", int64(cfg.scenarios))
-	cfg.prog.SetShardWorkers(cfg.workers)
 	run, srv, err := obsFlags.Start("simfuzz", flag.CommandLine, cfg.prog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simfuzz:", err)
@@ -157,6 +147,21 @@ func main() {
 	os.Exit(code)
 }
 
+// validate rejects numeric flag values that have no meaning. -parallel is
+// exempt: <= 0 documents "one per CPU". -checkpoint-every 0 keeps the
+// default chunk size.
+func validate(cfg config) error {
+	switch {
+	case cfg.scenarios < 0:
+		return fmt.Errorf("-scenarios %d: must be >= 0", cfg.scenarios)
+	case cfg.explore < 0:
+		return fmt.Errorf("-explore %d: must be >= 0", cfg.explore)
+	case cfg.checkpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: must be >= 0", cfg.checkpointEvery)
+	}
+	return nil
+}
+
 // trial is the per-scenario record; everything the report needs is captured
 // here so aggregation is a deterministic fold in index order.
 type trial struct {
@@ -168,8 +173,6 @@ type trial struct {
 	seed    uint64
 	explore exploreStats
 }
-
-const fnvOffset, fnvPrime = uint64(0xcbf29ce484222325), uint64(0x100000001b3)
 
 // defaultCheckpointEvery is the chunk size between checkpoint writes: large
 // enough that checkpoint IO is noise, small enough that an interrupted
@@ -208,7 +211,7 @@ func newCampaignState(cfg config) *campaignState {
 		Scenarios:     cfg.scenarios,
 		Seed:          cfg.seed,
 		Explore:       cfg.explore,
-		Combined:      fnvOffset,
+		Combined:      check.DigestSeed,
 		PerPolicy:     map[string]int{},
 		PerPolicyViol: map[string]int{},
 		FirstBad:      -1,
@@ -236,9 +239,7 @@ func (cs *campaignState) fold(i int, tr trial) {
 			}
 		}
 	}
-	for b := 0; b < 64; b += 8 {
-		cs.Combined = (cs.Combined ^ (tr.digest >> b & 0xff)) * fnvPrime
-	}
+	cs.Combined = check.Fold64(cs.Combined, tr.digest)
 	cs.ExploreSum.add(tr.explore)
 	cs.Next = i + 1
 }
@@ -280,6 +281,9 @@ func loadCheckpoint(path string) (*campaignState, error) {
 	if cs.Version != 1 {
 		return nil, fmt.Errorf("resume: %s: unsupported checkpoint version %d", path, cs.Version)
 	}
+	if err := cs.check(); err != nil {
+		return nil, fmt.Errorf("resume: %s: corrupt checkpoint: %w", path, err)
+	}
 	if cs.PerPolicy == nil {
 		cs.PerPolicy = map[string]int{}
 	}
@@ -287,6 +291,43 @@ func loadCheckpoint(path string) (*campaignState, error) {
 		cs.PerPolicyViol = map[string]int{}
 	}
 	return cs, nil
+}
+
+// check verifies that a loaded state is one fold could have produced: the
+// fold position lies inside the campaign, the per-policy tallies add up to
+// the totals, and the first failure (if any) lies among the folded trials.
+// A resumed campaign indexes its seed slice by Next and prints the tallies
+// verbatim, so any other state would panic or report a lie.
+func (cs *campaignState) check() error {
+	if cs.Next < 0 || cs.Next > cs.Scenarios {
+		return fmt.Errorf("next %d outside [0, scenarios %d]", cs.Next, cs.Scenarios)
+	}
+	if cs.Events < 0 || cs.Violations < 0 || cs.Failing < 0 || cs.Failing > cs.Next || cs.Failing > cs.Violations {
+		return fmt.Errorf("inconsistent totals: events %d, violations %d, failing %d of %d", cs.Events, cs.Violations, cs.Failing, cs.Next)
+	}
+	if !tallies(cs.PerPolicy, cs.Next) {
+		return fmt.Errorf("perPolicy %v does not sum to next %d", cs.PerPolicy, cs.Next)
+	}
+	if !tallies(cs.PerPolicyViol, cs.Violations) {
+		return fmt.Errorf("perPolicyViol %v does not sum to violations %d", cs.PerPolicyViol, cs.Violations)
+	}
+	if cs.FirstBad < -1 || cs.FirstBad >= cs.Next || (cs.FirstBad >= 0) != (cs.Failing > 0) {
+		return fmt.Errorf("firstBad %d inconsistent with next %d, failing %d", cs.FirstBad, cs.Next, cs.Failing)
+	}
+	return nil
+}
+
+// tallies reports whether the non-negative entries of m sum to total. It
+// subtracts instead of adding, so huge entries cannot wrap around to a match.
+func tallies(m map[string]int, total int) bool {
+	left := total
+	for _, v := range m {
+		if v < 0 || v > left {
+			return false
+		}
+		left -= v
+	}
+	return left == 0
 }
 
 func campaign(cfg config, w io.Writer) int {
@@ -319,37 +360,9 @@ func campaign(cfg config, w io.Writer) int {
 		every = defaultCheckpointEvery
 	}
 
-	// One flight recorder per worker (the ring is reset at each trial start,
-	// so after a failure it holds the tail of exactly the failing run) plus,
-	// under -workers N>1, one persistent shard pool per worker that every
-	// trial on that worker dispatches onto. MapPooled has no teardown hook,
-	// so newState registers each pool for closing after its chunk drains.
-	type workerState struct {
-		rec  *obs.Recorder
-		pool *shard.Pool // nil when cfg.workers == 1
-	}
-	var (
-		poolMu sync.Mutex
-		pools  []*shard.Pool
-	)
-	newState := func() (*workerState, error) {
-		st := &workerState{rec: obs.NewRecorder(cfg.window)}
-		if cfg.workers > 1 {
-			st.pool = shard.NewPool(cfg.workers)
-			poolMu.Lock()
-			pools = append(pools, st.pool)
-			poolMu.Unlock()
-		}
-		return st, nil
-	}
-	closePools := func() {
-		poolMu.Lock()
-		for _, p := range pools {
-			p.Close()
-		}
-		pools = pools[:0]
-		poolMu.Unlock()
-	}
+	// One flight recorder per worker: the ring is reset at each trial start,
+	// so after a failure it holds the tail of exactly the failing run.
+	newRecorder := func() (*obs.Recorder, error) { return obs.NewRecorder(cfg.window), nil }
 
 	for cs.Next < cfg.scenarios {
 		start := cs.Next
@@ -357,9 +370,8 @@ func campaign(cfg config, w io.Writer) int {
 		if end > cfg.scenarios {
 			end = cfg.scenarios
 		}
-		trials, err := runner.MapPooled(cfg.parallel, newState, seeds[start:end],
-			func(ws *workerState, ci int, seed uint64) (tr trial, err error) {
-				rec := ws.rec
+		trials, err := runner.MapPooled(cfg.parallel, newRecorder, seeds[start:end],
+			func(rec *obs.Recorder, ci int, seed uint64) (tr trial, err error) {
 				i := start + ci // global campaign index
 				prog.TrialStart()
 				t0 := time.Now()
@@ -375,15 +387,7 @@ func campaign(cfg config, w io.Writer) int {
 					prog.TrialDone(tr.events, tr.total, time.Since(t0))
 				}()
 				sc := gen.Generate(rng.New(seed), gen.DefaultOptions())
-				var (
-					suite *check.Suite
-					st    gen.RunStats
-				)
-				if ws.pool != nil {
-					suite, st, err = gen.RunShardedRecorded(sc, rec, ws.pool, 4*cfg.workers)
-				} else {
-					suite, st, err = gen.RunRecorded(sc, rec)
-				}
+				suite, st, err := gen.RunRecorded(sc, rec)
 				if err != nil {
 					return trial{}, fmt.Errorf("scenario %d (seed %#x): %w", i, seed, err)
 				}
@@ -414,7 +418,6 @@ func campaign(cfg config, w io.Writer) int {
 				}
 				return tr, nil
 			})
-		closePools()
 		if err != nil {
 			fmt.Fprintf(w, "simfuzz: %v\n", err)
 			return 2

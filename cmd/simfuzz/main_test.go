@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,26 +189,123 @@ func TestCheckpointResume(t *testing.T) {
 }
 
 // TestCheckpointResumeMismatch: a checkpoint from a different campaign
-// (other seed / scenario count / explore setting) must be refused, exit 2.
+// (other seed / scenario count / explore setting) or one whose fold state is
+// internally inconsistent must be refused with exit 2 and a diagnosis, never
+// a panic or a report.
 func TestCheckpointResumeMismatch(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "campaign.checkpoint")
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "campaign.checkpoint")
 	cfg := config{scenarios: 12, seed: 7, parallel: 1, shrink: false, checkpoint: ckpt, checkpointEvery: 4, stopAfter: 4}
 	var out bytes.Buffer
 	if code := campaign(cfg, &out); code != 0 {
 		t.Fatalf("setup campaign exited %d:\n%s", code, out.String())
 	}
+	good, err := loadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	bad := cfg
-	bad.stopAfter = 0
-	bad.resumeFrom = ckpt
-	bad.seed = 8 // different campaign
-	out.Reset()
-	if code := campaign(bad, &out); code != 2 {
-		t.Fatalf("resume with mismatched seed exited %d, want 2:\n%s", code, out.String())
+	for _, tc := range []struct {
+		name   string
+		seed   uint64 // campaign seed on resume; 0 keeps cfg.seed
+		mutate func(cs *campaignState)
+		want   string
+	}{
+		{name: "seed", seed: 8, want: "different campaign"},
+		{name: "next negative", mutate: func(cs *campaignState) { cs.Next = -5 }, want: "corrupt checkpoint"},
+		{name: "next past scenarios", mutate: func(cs *campaignState) { cs.Next = 50 }, want: "corrupt checkpoint"},
+		{name: "perPolicy sum", mutate: func(cs *campaignState) { cs.PerPolicy["NoRandom"]++ }, want: "sum to next"},
+		{name: "perPolicyViol sum", mutate: func(cs *campaignState) { cs.Violations++ }, want: "sum to violations"},
+		{name: "firstBad unfolded", mutate: func(cs *campaignState) {
+			cs.Violations, cs.Failing, cs.FirstBad = 1, 1, cs.Next
+			cs.PerPolicyViol["NoRandom"]++
+		}, want: "firstBad"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := ckpt
+			if tc.mutate != nil {
+				cs := *good
+				cs.PerPolicy = maps.Clone(good.PerPolicy)
+				cs.PerPolicyViol = maps.Clone(good.PerPolicyViol)
+				tc.mutate(&cs)
+				path = filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-"))
+				if err := writeCheckpoint(path, &cs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := cfg
+			bad.stopAfter = 0
+			bad.checkpoint = ""
+			bad.resumeFrom = path
+			if tc.seed != 0 {
+				bad.seed = tc.seed
+			}
+			var out bytes.Buffer
+			if code := campaign(bad, &out); code != 2 {
+				t.Fatalf("resume exited %d, want 2:\n%s", code, out.String())
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Fatalf("resume not diagnosed (want %q):\n%s", tc.want, out.String())
+			}
+		})
 	}
-	if !strings.Contains(out.String(), "different campaign") {
-		t.Fatalf("mismatch not diagnosed:\n%s", out.String())
+}
+
+// TestValidate pins the numeric flag checks: nonsensical counts are errors,
+// zero values and -parallel <= 0 ("one per CPU") are not.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  config
+		want string // "" = valid
+	}{
+		{config{}, ""},
+		{config{scenarios: 10, parallel: -1, explore: 2, checkpointEvery: 4}, ""},
+		{config{scenarios: -1}, "-scenarios"},
+		{config{explore: -1}, "-explore"},
+		{config{checkpointEvery: -1}, "-checkpoint-every"},
+	} {
+		err := validate(tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("validate(%+v) = %v, want nil", tc.cfg, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("validate(%+v) = %v, want an error naming %s", tc.cfg, err, tc.want)
+		}
 	}
+}
+
+// FuzzCheckpoint feeds arbitrary bytes to loadCheckpoint: it must never
+// panic, and whatever it accepts must be resumable. An accepted checkpoint of
+// a small campaign is resumed to the end, which must exit 0 or 1 without
+// panicking.
+func FuzzCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"version":1,"scenarios":3,"seed":1,"next":3,"combined":5,"events":9,` +
+		`"perPolicy":{"NoRandom":2,"TimeDiceW":1},"perPolicyViol":{},"firstBad":-1}`))
+	f.Add([]byte(`{"version":1,"scenarios":3,"seed":1,"next":3,"violations":2,"failing":1,` +
+		`"perPolicy":{"TimeDiceU":3},"perPolicyViol":{"TimeDiceU":2},"firstBad":1,"firstSeed":4,"firstViol":["x"]}`))
+	f.Add([]byte(`{"version":1,"scenarios":20,"next":3,"perPolicy":{"NoRandom":2},"firstBad":-1}`))
+	f.Add([]byte(`{"version":1,"scenarios":20,"next":3,"perPolicy":{"NoRandom":3},"perPolicyViol":{"NoRandom":-1},"violations":-1,"firstBad":-1}`))
+	f.Add([]byte(`{"version":1,"scenarios":9,"next":2,"perPolicy":{"a":9223372036854775807,"b":9223372036854775807,"c":4},"firstBad":-1}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`not json`))
+	path := filepath.Join(f.TempDir(), "checkpoint")
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := loadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		if cs.Scenarios > 64 || cs.Explore > 2 {
+			return // keep each resume to a few milliseconds
+		}
+		cfg := config{scenarios: cs.Scenarios, seed: cs.Seed, explore: cs.Explore, parallel: 1, resumeFrom: path}
+		var out bytes.Buffer
+		if code := campaign(cfg, &out); code != 0 && code != 1 {
+			t.Fatalf("resume of an accepted checkpoint exited %d:\n%s", code, out.String())
+		}
+	})
 }
 
 // TestExploreCampaign smokes -explore end to end: the report gains the

@@ -4,10 +4,8 @@ import "timedice/internal/telemetry"
 
 // Digester is the minimal telemetry sink: it folds every event into the
 // canonical FNV-1a stream digest and counts them, and does nothing else — no
-// oracles, no ledgers. The multicore layer attaches one per core to compute
-// the per-core digests its combined check digest folds together; it is also
-// the cheapest way for a test to pin "these two runs emitted byte-identical
-// event streams".
+// oracles, no ledgers. It is the cheapest way to pin "these two runs emitted
+// byte-identical event streams".
 type Digester struct {
 	h uint64
 	n int64
@@ -39,6 +37,6 @@ var _ telemetry.Sink = (*Digester)(nil)
 
 // Fold64 folds one 64-bit word into a running FNV-1a digest, byte by byte —
 // the same primitive the event digest uses. Aggregators use it to combine
-// per-unit digests into one order-sensitive summary (e.g. multicore's
-// combined digest, folding per-core digests in core index order).
+// per-unit digests into one order-sensitive summary (e.g. simfuzz's
+// campaign digest, folding per-scenario digests in campaign order).
 func Fold64(h, v uint64) uint64 { return fnvFold(h, v) }

@@ -67,10 +67,7 @@ type stateView struct {
 	hoistN    int
 
 	// Fixpoint scratch: narr[j] is stream j's next charged arrival during the
-	// current fixpoint run. The sequential path passes this one slice to every
-	// fixpoint call; the parallel search hands each worker its own slice so
-	// concurrent speculative fixpoints over the shared read-only view never
-	// alias scratch.
+	// current fixpoint run.
 	narr []vtime.Duration
 }
 
@@ -142,11 +139,7 @@ func (v *stateView) extend(h int) {
 // replays the reference exactly. At convergence narr holds precisely the
 // arrivals passHorizon recomputes; their minimum is returned in minArr for
 // horizonOf.
-//
-// scratch is the caller-owned arrival buffer (at least h+1 long); apart from
-// it and the returned values, fixpoint reads the view but writes nothing, so
-// calls with distinct scratch slices may run concurrently over one view.
-func (v *stateView) fixpoint(h int, w vtime.Duration, scratch []vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
+func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
 	active := v.remaining[h] > 0
 	w0 := w + v.remPrefix[h]
 	if active {
@@ -166,7 +159,7 @@ func (v *stateView) fixpoint(h int, w vtime.Duration, scratch []vtime.Duration) 
 	per := v.period[:m]
 	bud := v.budget[:m]
 	rec := v.recip[:m]
-	narr := scratch[:m]
+	narr := v.narr[:m]
 	cur = w0
 	sum, minArr := kernelInit(off, per, bud, rec, narr, cur)
 	cost.terms = int64(m)
@@ -207,8 +200,7 @@ func (v *stateView) fixpoint(h int, w vtime.Duration, scratch []vtime.Duration) 
 // tracked streams' first arrivals at or after cur are already in hand, so no
 // division and no O(h) rescan. When the tracked set is empty (h = 0 and
 // active), minArr is Forever and only the deadline slack bounds the horizon,
-// as in the reference. A pure function of its arguments, so speculative
-// workers can fold it into their recorded verdicts.
+// as in the reference.
 func horizonOf(cur, deadline, minArr vtime.Duration) vtime.Duration {
 	horizon := deadline - cur
 	if gap := minArr - cur; gap < horizon {
@@ -228,7 +220,7 @@ func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cach
 	}
 	res.Tests++
 	v.extend(h)
-	ok, cur, deadline, minArr, cost := v.fixpoint(h, w, v.narr)
+	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
 	res.FixpointIters += cost.iters
 	res.InterferenceTerms += cost.terms
 	if cache != nil {
@@ -347,11 +339,7 @@ func (p *Policy) pickView(sys *engine.System, now vtime.Time, rnd *rng.Rand) *pa
 		if p.cache != nil {
 			p.cache.begin(sys.StateStamps(), v.n())
 		}
-		if pool, ranges := sys.ShardExec(); pool != nil {
-			res = p.searchParallel(v, pool, ranges, p.scratch, p.cache)
-		} else {
-			res = v.search(p.quantum, p.scratch, p.cache)
-		}
+		res = v.search(p.quantum, p.scratch, p.cache)
 		p.scratch = res.Candidates
 		if p.cache != nil {
 			p.searchInit = true

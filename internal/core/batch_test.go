@@ -118,7 +118,7 @@ func TestViewMatchesAoS(t *testing.T) {
 		v.extend(n - 1)
 		for h := 0; h < n; h++ {
 			aok, acur, adl, acost := schedFixpoint(states, h, now, w)
-			vok, vcur, vdl, vmin, vcost := v.fixpoint(h, w, v.narr)
+			vok, vcur, vdl, vmin, vcost := v.fixpoint(h, w)
 			if aok != vok || acur != vcur || adl != vdl {
 				t.Fatalf("trial %d h=%d: fixpoint (%v,%v,%v) vs view (%v,%v,%v)",
 					trial, h, aok, acur, adl, vok, vcur, vdl)

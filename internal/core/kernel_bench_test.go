@@ -82,7 +82,7 @@ func BenchmarkDecisionKernel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for h := 0; h < n; h++ {
-					ok, _, _, _, _ := v.fixpoint(h, w, v.narr)
+					ok, _, _, _, _ := v.fixpoint(h, w)
 					benchVerdictSink = benchVerdictSink != ok
 				}
 			}

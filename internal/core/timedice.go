@@ -285,8 +285,7 @@ type Policy struct {
 	view    stateView // batched arena view (batch.go), used under indexed stepping
 	scratch []int
 	weights []float64
-	cache   *Cache   // nil when the verdict cache is disabled
-	par     parState // parallel-search scratch (parallel.go), used when the engine is sharded
+	cache   *Cache // nil when the verdict cache is disabled
 
 	// Decision-level search reuse: while no partition has been stamped since
 	// the last full search (searchStamp) and now is within the minimum

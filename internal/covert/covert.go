@@ -105,13 +105,6 @@ type Config struct {
 
 	Seed uint64
 
-	// ShardWorkers, when > 1, steps the trial's simulation sharded across
-	// that many OS threads (engine.System.SetSharding; the Harness owns the
-	// worker pool). Sharded stepping is exact, so every Result is identical
-	// to the sequential run's — the setting trades goroutines for wall-clock
-	// time on multi-core hosts and is recorded here for provenance only.
-	ShardWorkers int
-
 	// Telemetry, when non-nil, receives the simulation's event stream
 	// (slices, decisions, inversion windows) — e.g. an obs.Recorder for
 	// flight-recording a channel trial. Attaching a sink must not change
@@ -244,7 +237,6 @@ func Run(cfg Config, vecTrainers ...ml.Trainer) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	return h.Run(h.cfg.Seed, vecTrainers...)
 }
 

@@ -22,7 +22,6 @@ import (
 	"timedice/internal/partition"
 	"timedice/internal/rng"
 	"timedice/internal/server"
-	"timedice/internal/shard"
 	"timedice/internal/task"
 	"timedice/internal/telemetry"
 	"timedice/internal/vtime"
@@ -81,12 +80,6 @@ type Counters struct {
 	// syscalls at all — and are zero otherwise.
 	PolicyTime    time.Duration
 	PolicySamples int64
-	// ShardMergeTime accumulates the wall-clock time of the sharded due
-	// phase's deterministic merge (concatenating per-shard due sets in shard
-	// index order). Like PolicyTime it is a host observation, maintained only
-	// under MeasureLatency, excluded from snapshots, and zeroed before
-	// deterministic comparisons.
-	ShardMergeTime time.Duration
 
 	// DeadlineMisses counts jobs that completed after their absolute
 	// deadline (arrival + relative deadline). Jobs still pending when the
@@ -242,24 +235,6 @@ type System struct {
 	// dueBuf is the reusable scratch for the delivery phase's due set.
 	dueBuf []int32
 
-	// Sharded stepping state (SetSharding, sharding.go). When shardQ is
-	// non-nil the partition universe is split into the contiguous shardRanges
-	// and the per-partition-independent step phases run across shardPool:
-	// each shard owns a range heap in shardQ mirroring nextEv for its range
-	// (setNextEv routes writes by shardOf), due discovery collects per shard
-	// into shardDue and merges in shard index order, and the horizon bound
-	// folds the per-shard roots. The global evq is NOT maintained while
-	// sharded — it goes stale and is resynced from nextEv when sharding is
-	// disabled. shardFn is the prebuilt due-collection closure (no per-step
-	// allocation); shardNow publishes the step instant to it across the
-	// pool's release barrier.
-	shardPool   *shard.Pool
-	shardRanges []shard.Range
-	shardOf     []int32
-	shardQ      []*eventq.IndexMin
-	shardDue    [][]int32
-	shardFn     func(worker int)
-	shardNow    vtime.Time
 	// runnableBuf is the reusable backing array for Runnable.
 	runnableBuf []*partition.Partition
 
@@ -456,15 +431,9 @@ func (s *System) bumpStamp(i int) {
 }
 
 // setNextEv refreshes partition i's cached next-local-event time in both the
-// linear cache and the index-min heap, keeping the two views identical. Under
-// sharded stepping the write routes to the owning shard's range heap instead
-// of the global one (which is stale while sharded; see SetSharding).
+// linear cache and the index-min heap, keeping the two views identical.
 func (s *System) setNextEv(i int, t vtime.Time) {
 	s.nextEv[i] = t
-	if s.shardQ != nil {
-		s.shardQ[s.shardOf[i]].Update(i, t)
-		return
-	}
 	s.evq.Update(i, t)
 }
 
@@ -713,13 +682,8 @@ func (s *System) step(until vtime.Time) {
 		s.Counters.ArenaBytesTouched += int64(len(s.Partitions))*(8+partVisitBytes+8) +
 			int64(delivered)*(arenaStrideBytes+partVisitBytes)
 	} else {
-		due := s.dueBuf[:0]
-		if s.shardQ != nil {
-			due = s.collectDueSharded(now, due)
-		} else {
-			due = s.evq.CollectDue(now, due)
-			slices.Sort(due)
-		}
+		due := s.evq.CollectDue(now, s.dueBuf[:0])
+		slices.Sort(due)
 		s.dueBuf = due
 		for _, i := range due {
 			s.deliver(int(i), s.Partitions[i], now)
@@ -729,11 +693,7 @@ func (s *System) step(until vtime.Time) {
 		// plus an arena republish, the pruned heap descent touches at most
 		// 4·due+1 nodes, idle notification visits due ∪ {previous pick}, and
 		// the ready-set walks read the summary words plus the occupied
-		// groups. Quiescent partitions contribute nothing. Sharded stepping
-		// charges the identical formula — the proxy counts algorithmic
-		// touches of the one logical heap, not which physical heap served
-		// them — so every Counters field is byte-identical across worker
-		// counts (the shard differential pins full equality).
+		// groups. Quiescent partitions contribute nothing.
 		touched := int64(len(due))
 		if s.running >= 0 {
 			touched++
@@ -785,17 +745,6 @@ func (s *System) step(until vtime.Time) {
 	if s.ScanStepping {
 		for _, e := range s.nextEv {
 			if e < horizon {
-				horizon = e
-			}
-		}
-	} else if s.shardQ != nil {
-		// Sharded horizon: each shard root already holds its range's minimum
-		// (maintained in parallel by the heap writes); the reduce is a fold
-		// over the O(shards) roots in shard index order — min is commutative,
-		// so the order only matters for determinism of nothing, but the fixed
-		// order keeps the loop trivially auditable.
-		for _, q := range s.shardQ {
-			if e := q.MinKey(); e < horizon {
 				horizon = e
 			}
 		}
@@ -1008,9 +957,6 @@ func (s *System) Reset() {
 		s.stamps[i] = 0
 	}
 	s.evq.Reset()
-	for _, q := range s.shardQ {
-		q.Reset() // all keys back to zero, matching the zeroed nextEv
-	}
 	s.ready.Reset()
 	s.initHotArenas()
 	if pr, ok := s.Policy.(PolicyResetter); ok {

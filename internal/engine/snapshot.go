@@ -458,9 +458,6 @@ func (s *System) applySnapshot(st *snapState) error {
 	s.invOpen = st.invOpen
 	s.invStart = st.invStart
 	s.evq.Reset()
-	for _, q := range s.shardQ {
-		q.Reset() // the setNextEv loop below rewrites every sharded key
-	}
 	s.ready.Reset()
 	for i, p := range s.Partitions {
 		s.perPart[i] = st.parts[i].perPart

@@ -39,12 +39,6 @@ type Scale struct {
 	// quantiles carry the sketch's documented ≤1% relative error once a
 	// series outgrows the sketch's exact small-N buffer.
 	Stream bool
-	// ShardWorkers, when > 1, steps each trial's simulation itself sharded
-	// across that many OS threads (covert.Config.ShardWorkers →
-	// engine.System.SetSharding). Sharded stepping is exact, so like
-	// Parallel it changes wall-clock time only; unlike Parallel it helps
-	// even when one trial dominates the run.
-	ShardWorkers int
 }
 
 // Full is the paper-scale configuration (10,000 test samples; long runs).
@@ -110,7 +104,6 @@ func channelConfig(load Load, kind policies.Kind, sc Scale) covert.Config {
 		TestWindows:    sc.TestWindows,
 		Policy:         kind,
 		Seed:           sc.Seed,
-		ShardWorkers:   sc.ShardWorkers,
 	}
 }
 

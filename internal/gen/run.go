@@ -6,7 +6,6 @@ import (
 	"timedice/internal/engine"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
-	"timedice/internal/shard"
 	"timedice/internal/telemetry"
 )
 
@@ -53,29 +52,6 @@ func RunRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, err
 // InterferenceTerms).
 func RunScanRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, error) {
 	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra, scanStepping)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	st := RunStats{Counters: sys.Counters}
-	if cp, ok := sys.Policy.(interface{ Stats() core.Stats }); ok {
-		cs := cp.Stats()
-		st.CacheHits, st.CacheMisses = cs.CacheHits, cs.CacheMisses
-	}
-	return suite, st, nil
-}
-
-// RunShardedRecorded is RunRecorded under sharded stepping: the scenario's
-// system is split into the given shard count and stepped across the
-// caller-owned pool (the caller Closes it; one pool may serve many runs in
-// sequence). Sharded stepping is exact, so the returned suite and stats must
-// be indistinguishable from RunRecorded's apart from wall-clock fields —
-// same digest, same violations, byte-identical deterministic counters —
-// which the shard differential suite pins over the scenario corpus at
-// workers ∈ {1,2,4,8}.
-func RunShardedRecorded(sc Scenario, extra telemetry.Sink, pool *shard.Pool, shards int) (*check.Suite, RunStats, error) {
-	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra, func(sys *engine.System) {
-		sys.SetSharding(pool, shards)
-	})
 	if err != nil {
 		return nil, RunStats{}, err
 	}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"timedice/internal/check"
 	"timedice/internal/engine"
 	"timedice/internal/model"
 	"timedice/internal/policies"
@@ -100,9 +99,6 @@ type System struct {
 	// SourceCore maps source-spec partition index → (core, local index).
 	SourceCore  []int
 	SourceLocal []int
-	// digests are the per-core stream digesters installed by AttachDigests,
-	// in core index order; nil until attached.
-	digests []*check.Digester
 }
 
 // New splits spec per the assignment and builds one engine per core, all

@@ -145,3 +145,51 @@ func TestAssignmentPerCore(t *testing.T) {
 		t.Errorf("per-core split: %v", per)
 	}
 }
+
+func buildMC(t *testing.T, seed uint64) *System {
+	t.Helper()
+	spec := workload.TableIBase()
+	asg, err := FirstFitDecreasing(spec, 0.40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(spec, asg, policies.TimeDiceW, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestCoreSeedingDecorrelated is the regression test for the old seed+c
+// per-core seeding: under it, system(seed)'s core c+1 and system(seed+1)'s
+// core c received the same seed and therefore ran byte-identical RNG
+// streams, correlating "independent" trials of a seed sweep. Split-derived
+// streams must collide on neither axis, while staying deterministic for a
+// fixed (seed, core).
+func TestCoreSeedingDecorrelated(t *testing.T) {
+	a := buildMC(t, 4)
+	b := buildMC(t, 5)
+	if len(a.Cores) < 2 {
+		t.Fatal("fixture needs >= 2 cores")
+	}
+	for c := 1; c < len(a.Cores); c++ {
+		if a.Cores[c].Rand.State() == b.Cores[c-1].Rand.State() {
+			t.Errorf("seed 4 core %d shares its RNG stream with seed 5 core %d (the seed+c collision)", c, c-1)
+		}
+	}
+	// Within one system, cores must not share streams either.
+	for i := range a.Cores {
+		for j := i + 1; j < len(a.Cores); j++ {
+			if a.Cores[i].Rand.State() == a.Cores[j].Rand.State() {
+				t.Errorf("seed 4: cores %d and %d share an RNG stream", i, j)
+			}
+		}
+	}
+	// Determinism: same seed, same per-core streams.
+	a2 := buildMC(t, 4)
+	for c := range a.Cores {
+		if a.Cores[c].Rand.State() != a2.Cores[c].Rand.State() {
+			t.Errorf("core %d stream not deterministic for fixed seed", c)
+		}
+	}
+}

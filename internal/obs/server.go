@@ -117,8 +117,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauge("timedice_engine_arena_bytes_per_step", "mean arena bytes touched per engine step", st.ArenaBytesPerStep)
 		counter("timedice_engine_fixpoint_iters_total", "Algorithm-3 busy-interval fixpoint iterations run (deterministic decision-cost proxy)", st.FixpointIters)
 		counter("timedice_engine_interference_terms_total", "Algorithm-3 interference terms evaluated (scan-vs-indexed gap = decision-kernel savings)", st.InterferenceTerms)
-		gauge("timedice_shard_workers", "sharded-stepping worker count (1 = sequential)", float64(st.ShardWorkers))
-		counter("timedice_shard_merge_ns_total", "wall-clock nanoseconds in the sharded due-phase merge (MeasureLatency runs only)", st.ShardMergeNs)
 		fmt.Fprintf(w, "# HELP timedice_trial_seconds per-trial wall-clock quantiles (stats.Sketch)\n# TYPE timedice_trial_seconds summary\n")
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.5\"} %g\n", st.TrialSecondsP50)
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.9\"} %g\n", st.TrialSecondsP90)
