@@ -43,6 +43,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Virtual time counts whole microseconds: a shorter -dur leaves no time
+	// to report rates over, and a shorter -cell an empty Gantt column.
+	if *dur < time.Microsecond {
+		return fmt.Errorf("-dur %v: must be at least 1µs", *dur)
+	}
+	if *cell < time.Microsecond {
+		return fmt.Errorf("-cell %v: must be at least 1µs", *cell)
+	}
 
 	var spec model.SystemSpec
 	if *configPath != "" {

@@ -65,4 +65,15 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-trace", "wat"}); err == nil {
 		t.Error("bad trace mode accepted")
 	}
+	// Virtual time counts whole microseconds: shorter durations must be
+	// rejected with a message, not panic in the Gantt renderer or print
+	// negative rates.
+	for _, args := range [][]string{
+		{"-cell", "0"}, {"-cell", "500ns"}, {"-cell", "-1ms"},
+		{"-dur", "-1s"}, {"-dur", "0"}, {"-dur", "999ns"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err = %v, want a message naming %s", args, err, args[0])
+		}
+	}
 }

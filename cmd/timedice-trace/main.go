@@ -54,6 +54,9 @@ func run(args []string, stdout *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *dur < 0 {
+		return fmt.Errorf("-dur %v: must not be negative", *dur)
+	}
 
 	if *summaryPath != "" {
 		return printSummary(*summaryPath, stdout)

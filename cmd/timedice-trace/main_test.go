@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"timedice/internal/telemetry"
@@ -212,5 +213,12 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := parsePolicy("nope"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	if err := run([]string{"-dur", "-1s", "-out", out}, nil); err == nil || !strings.Contains(err.Error(), "-dur") {
+		t.Errorf("-dur -1s: err = %v, want a message naming -dur", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("rejected run wrote artifacts: %v", err)
 	}
 }

@@ -1,18 +1,17 @@
 package core
 
-// This file is the batched Algorithm-3 path: the same candidate search,
-// busy-interval fixpoint, horizon computation, and lottery selection as
-// timedice.go, re-expressed over the engine's struct-of-arrays hot arenas
-// (engine.Hot) instead of a []PartitionState snapshot.
+// This file is the production decision path: the candidate search,
+// busy-interval fixpoint, verdict cache, search reuse, and lottery selection,
+// expressed over the engine's struct-of-arrays hot arenas (engine.Hot). The
+// reference path — ScanStepping's AoS snapshot, the uncached CandidateSearch
+// and the plain-division schedFixpoint in timedice.go — is what it is pinned
+// against.
 //
-// Why it exists: under indexed stepping the engine already maintains exact
-// per-partition hot state in contiguous slices (remaining, deadline, supply,
-// budget, period) plus a hierarchical ready bitset. Snapshotting that into
-// PartitionState structs costs an O(P) pointer chase per decision — the
-// dominant term at P=4096+ where a decision touches a handful of partitions.
-// The view path aliases the arenas directly (bind is O(1)), walks runnable
-// partitions through the bitset, and hoists the two loop-invariant terms of
-// Eq. 1–2 out of the fixpoint iteration:
+// The view aliases the arenas directly (bind is O(1)) instead of snapshotting
+// every server into PartitionState structs, an O(P) pointer chase that
+// dominates at P=4096+ where a decision touches a handful of partitions. It
+// walks runnable partitions through the ready bitset and hoists the two
+// loop-invariant terms of Eq. 1–2 out of the fixpoint iteration:
 //
 //   - off[j]       = supply_j − now      (the stream anchor, constant per decision)
 //   - remPrefix[h] = Σ_{j<h} remaining_j (term (b), the hp remaining-budget sum)
@@ -27,17 +26,16 @@ package core
 // stream's next charged arrival in narr and a running interference sum,
 // advancing only the streams whose arrival was crossed — O(changed) per
 // iteration instead of O(h)). At convergence narr holds exactly the arrivals
-// passHorizon would recompute, so the verdict's validity horizon falls out of
-// the recorded minimum for free.
+// that bound the verdict's validity horizon, so the horizon falls out of the
+// recorded minimum for free.
 //
 // Exactness contract: every arithmetic step computes the same values as
-// schedFixpoint/passHorizon/Select (including the NextSupply==0 fallback and
-// the float64 lottery weights), so verdicts, candidate lists, and random
-// draws are bit-identical to the AoS reference, which deliberately keeps
-// plain division as the oracle. TestViewMatchesAoS pins that per function
-// (including per-iteration equality of the incremental sum); the
-// indexed-vs-scan digest suite pins it end-to-end, because ScanStepping runs
-// keep using the AoS path against live servers.
+// schedFixpoint/Select (including the NextSupply==0 fallback and the float64
+// lottery weights), so verdicts, candidate lists, and random draws are
+// bit-identical to the reference. TestViewMatchesAoS pins that per function
+// (including per-iteration equality of the incremental sum and the cached
+// search against the uncached one); the indexed-vs-scan digest suite pins it
+// end to end.
 
 import (
 	"timedice/internal/bitset"
@@ -127,7 +125,7 @@ func (v *stateView) extend(h int) {
 //
 // The tracked stream set is hp(Π_h), plus Π_h's own replenishment stream when
 // it is inactive (its indirect interference term) — exactly the streams
-// passHorizon charges. kernelInit opens the run at cur = w0 with one
+// schedFixpoint charges. kernelInit opens the run at cur = w0 with one
 // divisionless sweep, leaving narr[j] = the first arrival of stream j at or
 // after cur. Each subsequent iteration exploits that cur only grows: streams
 // whose recorded arrival is still at or beyond the new cur contribute no new
@@ -136,9 +134,9 @@ func (v *stateView) extend(h int) {
 // crossed ones. The running sum therefore always equals the reference's
 // from-scratch Σ ⌈(cur−o)/T⌉₀·B — in exact integers, hence bit-for-bit in
 // int64 — and the iteration sequence (and so the verdict and converged cur)
-// replays the reference exactly. At convergence narr holds precisely the
-// arrivals passHorizon recomputes; their minimum is returned in minArr for
-// horizonOf.
+// replays the reference exactly. At convergence narr holds each tracked
+// stream's first arrival at or after cur; their minimum is returned in minArr
+// for horizonOf.
 func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
 	active := v.remaining[h] > 0
 	w0 := w + v.remPrefix[h]
@@ -194,13 +192,13 @@ func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, m
 	}
 }
 
-// horizonOf is passHorizon over the view: how far past now a passing verdict
-// stays exact, from the converged fixpoint value cur, the relative deadline,
-// and the minimum next charged arrival minArr the fixpoint returned — the
-// tracked streams' first arrivals at or after cur are already in hand, so no
-// division and no O(h) rescan. When the tracked set is empty (h = 0 and
-// active), minArr is Forever and only the deadline slack bounds the horizon,
-// as in the reference.
+// horizonOf is how far past now a passing verdict stays exact: the minimum of
+// the deadline slack (deadline − cur) and the gap from the converged interval
+// end cur to the next arrival of any stream the test charges. The fixpoint
+// returns that arrival minimum in minArr, so there is no division and no O(h)
+// rescan. When the tracked set is empty (h = 0 and active), minArr is Forever
+// and only the deadline slack bounds the horizon. batch_test.go's passHorizon
+// recomputes it from scratch as the oracle.
 func horizonOf(cur, deadline, minArr vtime.Duration) vtime.Duration {
 	horizon := deadline - cur
 	if gap := minArr - cur; gap < horizon {
@@ -209,34 +207,31 @@ func horizonOf(cur, deadline, minArr vtime.Duration) vtime.Duration {
 	return horizon
 }
 
-// testVerdict is the cache-aware test front end over the view, sharing Cache
-// (and therefore verdict validity and hit accounting) with the AoS path. The
-// fixpoint's work tallies accumulate into res.
+// testVerdict is the production test front end: it serves a still-valid
+// memoized verdict from cache, or runs the kernel fixpoint and memoizes the
+// fresh verdict with its validity horizon. res.Tests counts only actual
+// Algorithm-3 computations, never cache hits; the fixpoint's work tallies
+// accumulate alongside.
 func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cache *Cache) bool {
-	if cache != nil {
-		if ok, hit := cache.lookup(h, v.now); hit {
-			return ok
-		}
+	if ok, hit := cache.lookup(h, v.now); hit {
+		return ok
 	}
-	res.Tests++
 	v.extend(h)
 	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
-	res.FixpointIters += cost.iters
-	res.InterferenceTerms += cost.terms
-	if cache != nil {
-		validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
-		if ok {
-			validUntil = v.now.Add(horizonOf(cur, deadline, minArr))
-		}
-		cache.store(h, ok, validUntil)
+	res.tally(cost)
+	validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
+	if ok {
+		validUntil = v.now.Add(horizonOf(cur, deadline, minArr))
 	}
+	cache.store(h, ok, validUntil)
 	return ok
 }
 
-// search is candidateSearch over the view. Instead of scanning all P states
-// for the Runnable flag, it walks the set bits of the ready set — O(occupied
-// groups + runnable) — and runs the same incremental coverage of the
-// partitions between candidates.
+// search is CandidateSearch over the view, with every test going through
+// the verdict cache. Instead of scanning all P states for the Runnable flag,
+// it walks the set bits of the ready set — O(occupied groups + runnable) —
+// and runs the same incremental coverage of the partitions between
+// candidates.
 func (v *stateView) search(w vtime.Duration, scratch []int, cache *Cache) SearchResult {
 	res := SearchResult{Candidates: scratch[:0]}
 	examined := 0
@@ -324,52 +319,36 @@ func (v *stateView) selectFrom(res SearchResult, mode SelectionMode, rnd *rng.Ra
 	return res.Candidates[k]
 }
 
-// pickView is Pick's decision body under indexed stepping: alias the arenas,
-// reuse or rerun the search, select. The search-reuse fast path is even
-// cheaper than the AoS one — the arenas are live, so the candidates'
-// remaining/deadline values selection reads need no refresh at all.
+// pickView is Pick's production body: alias the arenas, reuse or rerun the
+// cached search, select. The arenas are live, so a reused search needs no
+// refresh of the remaining/deadline values selection reads.
+//
+// The stored search is reusable while no partition has been stamped since it
+// ran (the engine's Epoch is the maximum per-partition stamp, so the check is
+// O(1)) and now is within the horizon of every verdict it consulted. Under
+// the timedice_mutation tag the stamp comparison is skipped, mirroring the
+// entry-level mutation (see mutation_on.go).
 func (p *Policy) pickView(sys *engine.System, now vtime.Time, rnd *rng.Rand) *partition.Partition {
 	v := &p.view
 	v.bind(sys.Hot(), now)
 	var res SearchResult
-	if reuse, maxStamp := p.searchReusable(sys, now); reuse {
+	epoch := sys.Epoch()
+	if p.searchInit && p.searchLen == v.n() &&
+		(cacheIgnoresInvalidation || epoch == p.searchStamp) && now <= p.searchValid {
 		res = SearchResult{Candidates: p.scratch, IdleOK: p.searchIdle}
 		p.stats.SearchReuses++
 	} else {
-		if p.cache != nil {
-			p.cache.begin(sys.StateStamps(), v.n())
-		}
-		res = v.search(p.quantum, p.scratch, p.cache)
+		p.cache.begin(sys.StateStamps(), v.n())
+		res = v.search(p.quantum, p.scratch, &p.cache)
 		p.scratch = res.Candidates
-		if p.cache != nil {
-			p.searchInit = true
-			p.searchIdle = res.IdleOK
-			p.searchStamp = maxStamp
-			p.searchValid = p.cache.searchValid
-			p.searchLen = v.n()
-		}
+		p.searchInit = true
+		p.searchIdle = res.IdleOK
+		p.searchStamp = epoch
+		p.searchValid = p.cache.searchValid
+		p.searchLen = v.n()
 	}
-	p.stats.SchedTests += res.Tests
-	sys.Counters.FixpointIters += res.FixpointIters
-	sys.Counters.InterferenceTerms += res.InterferenceTerms
-	p.stats.CandidateSum += int64(len(res.Candidates))
-	p.lastCandidates, p.lastTests = int64(len(res.Candidates)), res.Tests
-	if res.IdleOK {
-		p.stats.IdleEligible++
-	}
-	if len(res.Candidates) == 0 {
+	if !p.account(sys, res) {
 		return nil
 	}
-	if cap(p.weights) < v.n()+1 {
-		p.weights = make([]float64, 0, v.n()+1)
-	}
-	choice := v.selectFrom(res, p.mode, rnd, p.weights)
-	if choice == IdleChoice {
-		p.stats.IdleSelected++
-		return nil
-	}
-	if choice != res.Candidates[0] {
-		p.stats.InversionsWon++
-	}
-	return sys.Partitions[choice]
+	return p.chosen(sys, res, v.selectFrom(res, p.mode, rnd, p.weights))
 }

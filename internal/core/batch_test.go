@@ -76,11 +76,36 @@ func randomStates(r *rng.Rand, n int, now vtime.Time) []PartitionState {
 	return states
 }
 
-// TestViewMatchesAoS is the differential pin for the batched path: on random
-// snapshots, the view fixpoint (the divisionless incremental kernel), the
-// full candidate search (cached and uncached), and the lottery selection must
-// reproduce the AoS reference bit-for-bit — same verdicts, same candidates,
-// same test and iteration counts, same random draws. A fixpointIterHook
+// passHorizon is the from-scratch oracle for horizonOf: the minimum of the
+// deadline slack (deadline − cur) and, over every stream the test charges
+// (hp(Π_h), plus Π_h's own when inactive), the gap from the busy-interval end
+// cur to that stream's next arrival at or after cur, recomputed with plain
+// division.
+func passHorizon(states []PartitionState, h int, now vtime.Time, cur, deadline vtime.Duration) vtime.Duration {
+	horizon := deadline - cur
+	for j := 0; j <= h; j++ {
+		if j == h && states[h].Active {
+			break
+		}
+		st := &states[j]
+		o := st.supplyTime().Sub(now)
+		// Arrivals land at o + k·T and CeilDiv counts those strictly before cur.
+		arr := o + vtime.Duration(vtime.CeilDiv(cur-o, st.Period))*st.Period
+		if gap := arr - cur; gap < horizon {
+			horizon = gap
+		}
+	}
+	return horizon
+}
+
+// TestViewMatchesAoS is the per-function differential pin for the production
+// path: on random snapshots, the view fixpoint (the divisionless incremental
+// kernel) and its validity horizon, the cached candidate search, and the
+// lottery selection must reproduce the uncached AoS reference bit-for-bit —
+// same verdicts, same candidates, same iteration counts, same random draws.
+// The cached search runs twice under the same stamps: the cold run must
+// compute exactly the reference's tests, and the warm run must serve every
+// one of them from the cache with the same outcome. A fixpointIterHook
 // additionally re-sums the interference from scratch with plain division at
 // every kernel iteration and requires the incrementally maintained sum to
 // match exactly.
@@ -140,26 +165,32 @@ func TestViewMatchesAoS(t *testing.T) {
 			}
 		}
 
-		// Uncached search.
-		ares := candidateSearch(states, now, w, nil, nil)
-		vres := v.search(w, nil, nil)
-		compareSearch(t, trial, "uncached", ares, vres)
-
-		// Cached search: two fresh caches fed identical stamps must behave
-		// identically (verdicts, hit/miss counts, searchValid).
+		// Cached search against the uncached reference: a cold run computes
+		// every test the reference does (each lookup misses), and a warm run
+		// under the same stamps serves all of them from the cache.
+		ares := CandidateSearch(states, now, w, nil)
 		stamps := make([]uint64, n)
 		for i := range stamps {
 			stamps[i] = uint64(r.Intn(5))
 		}
-		ac, vc := &Cache{}, &Cache{}
-		ac.begin(stamps, n)
-		vc.begin(stamps, n)
-		ares = candidateSearch(states, now, w, nil, ac)
-		vres = v.search(w, nil, vc)
-		compareSearch(t, trial, "cached", ares, vres)
-		if ac.Hits() != vc.Hits() || ac.Misses() != vc.Misses() || ac.searchValid != vc.searchValid {
-			t.Fatalf("trial %d: cache divergence: AoS %d/%d valid %v, view %d/%d valid %v",
-				trial, ac.Hits(), ac.Misses(), ac.searchValid, vc.Hits(), vc.Misses(), vc.searchValid)
+		var c Cache
+		c.begin(stamps, n)
+		vres := v.search(w, nil, &c)
+		compareSearch(t, trial, "cold", ares, vres)
+		if vres.Tests != ares.Tests || vres.FixpointIters != ares.FixpointIters {
+			t.Fatalf("trial %d cold: view ran %d tests / %d iterations, reference %d / %d",
+				trial, vres.Tests, vres.FixpointIters, ares.Tests, ares.FixpointIters)
+		}
+		if vres.InterferenceTerms > ares.InterferenceTerms {
+			t.Fatalf("trial %d cold: view evaluated %d interference terms, reference %d",
+				trial, vres.InterferenceTerms, ares.InterferenceTerms)
+		}
+		c.begin(stamps, n)
+		warm := v.search(w, nil, &c)
+		compareSearch(t, trial, "warm", ares, warm)
+		if warm.Tests != 0 || c.Hits() != ares.Tests || c.Hits()+c.Misses() != 2*ares.Tests {
+			t.Fatalf("trial %d warm: %d tests, cache %d hits / %d misses; want 0 tests and %d hits / %d misses",
+				trial, warm.Tests, c.Hits(), c.Misses(), ares.Tests, ares.Tests)
 		}
 
 		// Selection: identical seeds must yield identical choices in both
@@ -177,19 +208,13 @@ func TestViewMatchesAoS(t *testing.T) {
 	}
 }
 
+// compareSearch requires the view search outcome b to match the reference
+// outcome a: same candidates in the same order, same idle eligibility.
 func compareSearch(t *testing.T, trial int, ctx string, a, b SearchResult) {
 	t.Helper()
-	if a.IdleOK != b.IdleOK || a.Tests != b.Tests || len(a.Candidates) != len(b.Candidates) {
-		t.Fatalf("trial %d %s: AoS (cand %d, idle %v, tests %d) vs view (cand %d, idle %v, tests %d)",
-			trial, ctx, len(a.Candidates), a.IdleOK, a.Tests, len(b.Candidates), b.IdleOK, b.Tests)
-	}
-	// Iteration counts are path-independent; term counts are not (the kernel
-	// skips unchanged streams) but can only save work, never add it.
-	if a.FixpointIters != b.FixpointIters {
-		t.Fatalf("trial %d %s: AoS ran %d fixpoint iterations, view %d", trial, ctx, a.FixpointIters, b.FixpointIters)
-	}
-	if b.InterferenceTerms > a.InterferenceTerms {
-		t.Fatalf("trial %d %s: view evaluated %d interference terms, AoS %d", trial, ctx, b.InterferenceTerms, a.InterferenceTerms)
+	if a.IdleOK != b.IdleOK || len(a.Candidates) != len(b.Candidates) {
+		t.Fatalf("trial %d %s: AoS (cand %d, idle %v) vs view (cand %d, idle %v)",
+			trial, ctx, len(a.Candidates), a.IdleOK, len(b.Candidates), b.IdleOK)
 	}
 	for k := range a.Candidates {
 		if a.Candidates[k] != b.Candidates[k] {
@@ -228,13 +253,18 @@ func TestViewExtendLazy(t *testing.T) {
 	states[8].Active = true
 	states[8].NextReplenish = now.Add(2 * vtime.Millisecond)
 	v := viewFromStates(states, now)
-	res := v.search(DefaultQuantum, nil, nil)
+	var c Cache
+	c.begin(make([]uint64, n), n)
+	res := v.search(DefaultQuantum, nil, &c)
 	if len(res.Candidates) != 2 || res.IdleOK {
 		t.Fatalf("unexpected search result: %+v", res)
 	}
 	if v.hoistN > 16 {
 		t.Fatalf("hoistN = %d after a prefix-only search; lazy extension is broken", v.hoistN)
 	}
-	aos := candidateSearch(states, now, DefaultQuantum, nil, nil)
+	aos := CandidateSearch(states, now, DefaultQuantum, nil)
 	compareSearch(t, 0, "lazy", aos, res)
+	if res.Tests != aos.Tests {
+		t.Fatalf("lazy: view ran %d tests, reference %d", res.Tests, aos.Tests)
+	}
 }

@@ -4,14 +4,17 @@ import (
 	"timedice/internal/vtime"
 )
 
-// This file implements the incremental schedulability-test cache: the Fig. 9
-// observation taken one step further. A verdict computed by Algorithm 3 at
-// decision time t stays exactly reproducible for a computable span of virtual
-// time, so Pick can reuse it instead of re-running the busy-interval fixpoint,
-// provided nothing discontinuous happened to the partitions it reads.
+// This file implements the production path's schedulability-verdict cache:
+// the Fig. 9 observation taken one step further. A verdict computed by
+// Algorithm 3 at decision time t stays exactly reproducible for a computable
+// span of virtual time, so pickView can reuse it instead of re-running the
+// busy-interval fixpoint, provided nothing discontinuous happened to the
+// partitions it reads. The reference path (ScanStepping) never consults it,
+// so the indexed-vs-scan differential compares every cache hit against a
+// fresh computation.
 //
-// Soundness (and exactness — cached and uncached runs must produce
-// byte-identical schedules, pinned differentially against the simfuzz corpus):
+// Soundness (and exactness — cached and uncached decisions must produce
+// byte-identical schedules):
 //
 // The verdict for Π_h reads only partitions 0..h: budgets B_j and periods T_j
 // (constants), remaining budgets B_j(t), replenishment-stream anchors
@@ -61,8 +64,8 @@ type Cache struct {
 	// searchValid accumulates, across one candidate search, the minimum
 	// validUntil of every verdict the search consulted. Until that instant —
 	// and as long as no partition is stamped — the whole search outcome
-	// (candidate list and idle eligibility) is reproducible, which Pick
-	// exploits to skip the snapshot and search entirely.
+	// (candidate list and idle eligibility) is reproducible, which pickView
+	// exploits to skip the search entirely.
 	searchValid vtime.Time
 }
 
@@ -121,21 +124,6 @@ func (c *Cache) Hits() int64 { return c.hits }
 // actually run through the cache).
 func (c *Cache) Misses() int64 { return c.misses }
 
-// Lookups returns the total number of cache consultations. Hits and misses
-// partition the lookups exactly: Hits() + Misses() == Lookups() always (a
-// unit test pins this), so the hit ratio reported by /metrics and the
-// tests/decision numbers in HACKING derive from one source.
-func (c *Cache) Lookups() int64 { return c.hits + c.misses }
-
-// HitRatio returns Hits/Lookups, or 0 before any lookup.
-func (c *Cache) HitRatio() float64 {
-	l := c.hits + c.misses
-	if l == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(l)
-}
-
 // Reset clears every memoized verdict and the hit/miss counters; entries
 // become unreusable at any instant (validUntil −1 precedes every virtual
 // time).
@@ -145,96 +133,4 @@ func (c *Cache) Reset() {
 	}
 	c.hits = 0
 	c.misses = 0
-}
-
-// schedFixpoint runs the Algorithm-3 busy-interval iteration and returns the
-// verdict together with the fixpoint value cur and the deadline (both
-// relative to now) that passHorizon needs, plus the work tallies (iterations
-// and interference terms evaluated); wrappers account for the invocation
-// itself. This is the plain-division reference form — the decision kernel
-// (stateView.fixpoint) is pinned against it, so it must stay naive: every
-// iteration re-sums every charged stream through hardware division.
-func schedFixpoint(states []PartitionState, h int, now vtime.Time, w vtime.Duration) (ok bool, cur, deadline vtime.Duration, cost fixCost) {
-	s := &states[h]
-	var w0 vtime.Duration = w
-	if s.Active {
-		w0 += s.Remaining
-		deadline = s.NextReplenish.Sub(now)
-	} else {
-		deadline = s.NextReplenish.Add(s.Period).Sub(now)
-	}
-	for j := 0; j < h; j++ {
-		w0 += states[j].Remaining
-	}
-	if w0 > deadline {
-		return false, 0, deadline, cost
-	}
-	cur = w0
-	for {
-		cost.iters++
-		next := w0
-		for j := 0; j < h; j++ {
-			o := states[j].supplyTime().Sub(now)
-			next += streamInterference(cur, o, states[j].Period, states[j].Budget)
-		}
-		cost.terms += int64(h)
-		if !s.Active {
-			o := s.supplyTime().Sub(now)
-			next += streamInterference(cur, o, s.Period, s.Budget)
-			cost.terms++
-		}
-		if next > deadline {
-			return false, cur, deadline, cost
-		}
-		if next == cur {
-			return true, cur, deadline, cost
-		}
-		cur = next
-	}
-}
-
-// passHorizon computes how far past now a passing verdict stays exact: the
-// minimum of the deadline slack (deadline − cur) and, over every stream the
-// test charges (hp(Π_h), plus Π_h's own when inactive), the gap from the
-// busy-interval end cur to that stream's next arrival at or after cur.
-func passHorizon(states []PartitionState, h int, now vtime.Time, cur, deadline vtime.Duration) vtime.Duration {
-	horizon := deadline - cur
-	for j := 0; j <= h; j++ {
-		if j == h && states[h].Active {
-			break
-		}
-		st := &states[j]
-		o := st.supplyTime().Sub(now)
-		arr := streamNextArrival(cur, o, st.Period)
-		if gap := arr - cur; gap < horizon {
-			horizon = gap
-		}
-	}
-	return horizon
-}
-
-// testVerdict is the cache-aware front end of SchedulabilityTest used by the
-// candidate search: with a nil cache it behaves identically to
-// SchedulabilityTest; with a cache it serves valid memoized verdicts and
-// memoizes fresh ones with their validity horizon. res.Tests counts only
-// actual Algorithm-3 computations, never cache hits; the fixpoint's work
-// tallies accumulate alongside.
-func testVerdict(states []PartitionState, h int, now vtime.Time, w vtime.Duration, res *SearchResult, cache *Cache) bool {
-	if cache != nil {
-		if ok, hit := cache.lookup(h, now); hit {
-			return ok
-		}
-	}
-	res.Tests++
-	ok, cur, deadline, cost := schedFixpoint(states, h, now, w)
-	res.FixpointIters += cost.iters
-	res.InterferenceTerms += cost.terms
-	if cache != nil {
-		validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
-		if ok {
-			validUntil = now.Add(passHorizon(states, h, now, cur, deadline))
-		}
-		cache.store(h, ok, validUntil)
-	}
-	return ok
 }

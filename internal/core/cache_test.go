@@ -21,19 +21,27 @@ func twoPartStates(now vtime.Time) []PartitionState {
 	}
 }
 
+// verdictAt consults the production test front end (stateView.testVerdict)
+// for partition h at instant now, re-hoisting the view's per-decision terms
+// the way bind does at every decision.
+func verdictAt(v *stateView, h int, now vtime.Time, res *SearchResult, c *Cache) bool {
+	v.now, v.hoistN = now, 0
+	return v.testVerdict(h, 0, res, c)
+}
+
 // TestCachePrefixStaleness pins the per-partition invalidation rule: a stamp
 // on partition j stales the cached verdict of every h >= j and leaves every
 // h < j untouched, because the verdict for h reads only partitions 0..h.
 func TestCachePrefixStaleness(t *testing.T) {
 	now := vtime.Time(0)
-	states := twoPartStates(now)
+	v := viewFromStates(twoPartStates(now), now)
 	var c Cache
 
 	stamps := []uint64{1, 1}
 	c.begin(stamps, 2)
 	var res SearchResult
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		verdictAt(v, h, now, &res, &c)
 	}
 	if res.Tests != 2 {
 		t.Fatalf("cold cache ran %d tests, want 2", res.Tests)
@@ -42,7 +50,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	// No new stamps: both verdicts must be served from cache.
 	c.begin(stamps, 2)
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		verdictAt(v, h, now, &res, &c)
 	}
 	if res.Tests != 2 {
 		t.Fatalf("warm cache ran %d tests total, want still 2", res.Tests)
@@ -52,7 +60,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	stamps[1] = 2
 	c.begin(stamps, 2)
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		verdictAt(v, h, now, &res, &c)
 	}
 	if res.Tests != 3 {
 		t.Fatalf("after stamping partition 1: %d tests total, want 3 (only h=1 recomputes)", res.Tests)
@@ -62,7 +70,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	stamps[0] = 3
 	c.begin(stamps, 2)
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		verdictAt(v, h, now, &res, &c)
 	}
 	if res.Tests != 5 {
 		t.Fatalf("after stamping partition 0: %d tests total, want 5 (both recompute)", res.Tests)
@@ -74,13 +82,13 @@ func TestCachePrefixStaleness(t *testing.T) {
 // its computed validity horizon — after that the fixpoint must be rerun.
 func TestCacheHorizonExpiry(t *testing.T) {
 	now := vtime.Time(0)
-	states := twoPartStates(now)
+	v := viewFromStates(twoPartStates(now), now)
 	var c Cache
 	stamps := []uint64{1, 1}
 
 	c.begin(stamps, 2)
 	var res SearchResult
-	ok := testVerdict(states, 1, now, 0, &res, &c)
+	ok := verdictAt(v, 1, now, &res, &c)
 	if !ok || res.Tests != 1 {
 		t.Fatalf("cold verdict: ok=%v tests=%d, want pass in 1 test", ok, res.Tests)
 	}
@@ -91,19 +99,19 @@ func TestCacheHorizonExpiry(t *testing.T) {
 
 	// One instant before the horizon: still a hit.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, horizon-1, 0, &res, &c)
+	verdictAt(v, 1, horizon-1, &res, &c)
 	if res.Tests != 1 {
 		t.Fatalf("within horizon: %d tests total, want still 1", res.Tests)
 	}
 	// The horizon instant itself is inclusive.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, horizon, 0, &res, &c)
+	verdictAt(v, 1, horizon, &res, &c)
 	if res.Tests != 1 {
 		t.Fatalf("at horizon: %d tests total, want still 1", res.Tests)
 	}
 	// Past it: recompute.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, horizon+1, 0, &res, &c)
+	verdictAt(v, 1, horizon+1, &res, &c)
 	if res.Tests != 2 {
 		t.Fatalf("past horizon: %d tests total, want 2", res.Tests)
 	}
@@ -118,12 +126,13 @@ func TestCacheFailForever(t *testing.T) {
 	// Make partition 1 hopeless: deadline before its own remaining budget
 	// plus the higher-priority interference can complete.
 	states[1].NextReplenish = now.Add(vtime.MS(4))
+	v := viewFromStates(states, now)
 
 	var c Cache
 	stamps := []uint64{1, 1}
 	c.begin(stamps, 2)
 	var res SearchResult
-	if ok := testVerdict(states, 1, now, 0, &res, &c); ok {
+	if ok := verdictAt(v, 1, now, &res, &c); ok {
 		t.Fatal("verdict unexpectedly passed; fixture needs a tighter deadline")
 	}
 	if got := c.entries[1].validUntil; got != vtime.Infinity {
@@ -132,7 +141,7 @@ func TestCacheFailForever(t *testing.T) {
 
 	// Arbitrarily far in the future, same epoch: still served from cache.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, now.Add(vtime.MS(1_000_000)), 0, &res, &c)
+	verdictAt(v, 1, now.Add(vtime.MS(1_000_000)), &res, &c)
 	if res.Tests != 1 {
 		t.Fatalf("far-future FAIL lookup ran %d tests total, want still 1", res.Tests)
 	}
@@ -140,28 +149,27 @@ func TestCacheFailForever(t *testing.T) {
 	// A stamp anywhere in 0..1 drops it.
 	stamps[0] = 2
 	c.begin(stamps, 2)
-	testVerdict(states, 1, now, 0, &res, &c)
+	verdictAt(v, 1, now, &res, &c)
 	if res.Tests != 2 {
 		t.Fatalf("after stamp: %d tests total, want 2", res.Tests)
 	}
 }
 
-// TestCacheHitMissAccounting pins the satellite contract behind the
-// /metrics hit-ratio gauge: hits and misses partition the lookups exactly
-// (Hits + Misses == Lookups after any call sequence), every miss runs
-// exactly one Algorithm-3 computation, and HitRatio derives from the same
-// two counters.
+// TestCacheHitMissAccounting pins the contract behind the /metrics cache
+// counters: hits and misses partition the consultations exactly (Hits +
+// Misses == consultations made, after any call sequence), every miss runs
+// exactly one Algorithm-3 computation, and Reset zeroes both.
 func TestCacheHitMissAccounting(t *testing.T) {
 	now := vtime.Time(0)
-	states := twoPartStates(now)
+	v := viewFromStates(twoPartStates(now), now)
 	var c Cache
 
 	stamps := []uint64{1, 1}
-	lookups := 0
+	var lookups int64
 	var res SearchResult
 	consult := func(h int, at vtime.Time) {
 		c.begin(stamps, 2)
-		testVerdict(states, h, at, 0, &res, &c)
+		verdictAt(v, h, at, &res, &c)
 		lookups++
 	}
 
@@ -175,23 +183,19 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	consult(1, now)                          // miss (stamped)
 	consult(1, now.Add(vtime.MS(1_000_000))) // miss (past validUntil)
 
-	if got := c.Lookups(); got != int64(lookups) {
-		t.Fatalf("Lookups() = %d, want the %d consultations made", got, lookups)
+	if c.Hits() != 3 || c.Misses() != 4 {
+		t.Fatalf("hits %d, misses %d; want 3 and 4", c.Hits(), c.Misses())
 	}
-	if c.Hits()+c.Misses() != c.Lookups() {
-		t.Fatalf("hits %d + misses %d != lookups %d", c.Hits(), c.Misses(), c.Lookups())
+	if c.Hits()+c.Misses() != lookups {
+		t.Fatalf("hits %d + misses %d != the %d consultations made", c.Hits(), c.Misses(), lookups)
 	}
 	if c.Misses() != res.Tests {
 		t.Fatalf("misses %d, but %d Algorithm-3 computations ran — each miss must compute exactly once", c.Misses(), res.Tests)
 	}
-	wantRatio := float64(c.Hits()) / float64(c.Lookups())
-	if got := c.HitRatio(); got != wantRatio {
-		t.Fatalf("HitRatio() = %v, want %v", got, wantRatio)
-	}
 
 	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 || c.Lookups() != 0 || c.HitRatio() != 0 {
-		t.Fatal("Reset must zero hits, misses, and the derived ratio")
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatal("Reset must zero hits and misses")
 	}
 }
 

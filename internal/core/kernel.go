@@ -1,45 +1,34 @@
 package core
 
-// The decision kernel's shared arithmetic. Algorithm 3's busy-interval
-// fixpoint charges, for every tracked replenishment stream, the Eq. (1)
-// interference term ⌈(cur − o)/T⌉₀ · B, and its validity horizon needs the
-// stream's first arrival at or after the converged interval end. Those two
-// formulas used to live in four places — the AoS loops in cache.go and the
-// SoA loops in batch.go — and a change to one could silently miss the
-// others. They now live here, in two forms that are pinned equal:
+// The decision kernel's arithmetic. Algorithm 3's busy-interval fixpoint
+// charges, for every tracked replenishment stream, the Eq. (1) interference
+// term ⌈(cur − o)/T⌉₀ · B. It comes in two forms:
 //
-//   - the plain-division reference forms (streamInterference,
-//     streamNextArrival), used by the AoS path (schedFixpoint/passHorizon)
-//     that ScanStepping and the public SchedulabilityTest run. The reference
-//     deliberately keeps hardware division: it is the oracle the
-//     divisionless kernel is differentially pinned against, and the
+//   - the plain-division reference form (streamInterference), used by the
+//     reference path's schedFixpoint (ScanStepping, and the public
+//     SchedulabilityTest). It deliberately keeps hardware division: it is
+//     the oracle the divisionless kernel is pinned against, and the
 //     corrupted-reciprocal timedice_mutation mutant is caught precisely
-//     because this path does not share the reciprocal constants.
-//   - the divisionless kernel forms (kernelInit and the incremental advance
-//     inside stateView.fixpoint), which compute the identical values through
+//     because this path does not share the reciprocal constants;
+//   - the divisionless kernel form (kernelInit and the incremental advance
+//     inside stateView.fixpoint), which computes the identical values through
 //     vtime.Reciprocal over the engine's constant SoA arenas.
 //
 // vtime's recip_test.go proves the two division forms agree on the entire
-// int64 domain; TestViewMatchesAoS and the indexed-vs-scan differential pin
-// the composed loops.
+// int64 domain; TestViewMatchesAoS pins the composed loops iteration by
+// iteration, and the indexed-vs-scan differential pins them end to end.
 
 import "timedice/internal/vtime"
 
 // fixCost tallies the work of one Algorithm-3 busy-interval run:
-// fixpoint iterations and interference terms actually evaluated. Iterations
-// are path-independent — the incremental kernel replays the reference
-// iteration sequence exactly — while term counts depend on the evaluation
-// strategy (the reference re-sums every stream per iteration, the kernel
-// advances only the streams whose next arrival was crossed).
+// fixpoint iterations and interference terms actually evaluated. For the
+// same test the incremental kernel replays the reference iteration sequence
+// exactly, while term counts depend on the evaluation strategy (the
+// reference re-sums every stream per iteration, the kernel advances only the
+// streams whose next arrival was crossed).
 type fixCost struct {
 	iters int64
 	terms int64
-}
-
-// add folds another run's tallies in.
-func (c *fixCost) add(o fixCost) {
-	c.iters += o.iters
-	c.terms += o.terms
 }
 
 // fixpointIterHook, when non-nil, observes every busy-interval iteration of
@@ -56,12 +45,6 @@ var fixpointIterHook func(h int, cur, sum vtime.Duration)
 // times the budget each delivers.
 func streamInterference(cur, o, period, budget vtime.Duration) vtime.Duration {
 	return vtime.Duration(vtime.CeilDiv(cur-o, period)) * budget
-}
-
-// streamNextArrival is the stream's first replenishment at or after cur:
-// arrivals land at o + k·T and CeilDiv counts those strictly before cur.
-func streamNextArrival(cur, o, period vtime.Duration) vtime.Duration {
-	return o + vtime.Duration(vtime.CeilDiv(cur-o, period))*period
 }
 
 // kernelInit is the unrolled SoA sweep that opens one kernel fixpoint run:

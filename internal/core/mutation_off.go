@@ -7,6 +7,7 @@ package core
 // discontinuous change (release, completion, depletion, replenishment,
 // sporadic chunk) recomputes the affected verdicts. Building with
 // -tags timedice_mutation makes lookup skip the stamp comparison (see
-// mutation_on.go), an injected staleness bug that the cached-vs-uncached
-// differential digest test must detect end-to-end.
+// mutation_on.go), an injected staleness bug that TestCacheMutationCaught
+// must detect by comparing the production policy with a twin whose cache is
+// dropped before every decision.
 const cacheIgnoresInvalidation = false

@@ -7,7 +7,7 @@ package core
 // so epoch-bumping events (releases, completions, depletions,
 // replenishments, sporadic chunks) no longer invalidate entries and stale
 // verdicts — including FAIL verdicts memoized with an unbounded horizon —
-// leak into later epochs. The run stays internally consistent, so only the
-// cached-vs-uncached differential digest comparison can catch it;
-// TestCacheMutationCaught asserts it does.
+// leak into later epochs. The run stays internally consistent, so only a
+// comparison against fresh verdicts can catch it; TestCacheMutationCaught
+// asserts it does.
 const cacheIgnoresInvalidation = true

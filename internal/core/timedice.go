@@ -84,15 +84,58 @@ func (s *PartitionState) supplyTime() vtime.Time {
 // the interference, per the indirect-interference extension.
 //
 // testsRun, when non-nil, is incremented once (for overhead accounting).
-//
-// The busy-interval iteration lives in schedFixpoint (cache.go), shared with
-// the verdict-caching front end testVerdict.
 func SchedulabilityTest(states []PartitionState, h int, now vtime.Time, w vtime.Duration, testsRun *int64) bool {
 	if testsRun != nil {
 		*testsRun++
 	}
 	ok, _, _, _ := schedFixpoint(states, h, now, w)
 	return ok
+}
+
+// schedFixpoint runs the Algorithm-3 busy-interval iteration and returns the
+// verdict together with the fixpoint value cur and the deadline (both
+// relative to now), plus the work tallies (iterations and interference terms
+// evaluated); callers account for the invocation itself. This is the
+// plain-division reference form — the decision kernel (stateView.fixpoint)
+// is pinned against it, so it must stay naive: every iteration re-sums every
+// charged stream through hardware division.
+func schedFixpoint(states []PartitionState, h int, now vtime.Time, w vtime.Duration) (ok bool, cur, deadline vtime.Duration, cost fixCost) {
+	s := &states[h]
+	var w0 vtime.Duration = w
+	if s.Active {
+		w0 += s.Remaining
+		deadline = s.NextReplenish.Sub(now)
+	} else {
+		deadline = s.NextReplenish.Add(s.Period).Sub(now)
+	}
+	for j := 0; j < h; j++ {
+		w0 += states[j].Remaining
+	}
+	if w0 > deadline {
+		return false, 0, deadline, cost
+	}
+	cur = w0
+	for {
+		cost.iters++
+		next := w0
+		for j := 0; j < h; j++ {
+			o := states[j].supplyTime().Sub(now)
+			next += streamInterference(cur, o, states[j].Period, states[j].Budget)
+		}
+		cost.terms += int64(h)
+		if !s.Active {
+			o := s.supplyTime().Sub(now)
+			next += streamInterference(cur, o, s.Period, s.Budget)
+			cost.terms++
+		}
+		if next > deadline {
+			return false, cur, deadline, cost
+		}
+		if next == cur {
+			return true, cur, deadline, cost
+		}
+		cur = next
+	}
 }
 
 // SearchResult is the outcome of one candidate search.
@@ -107,13 +150,21 @@ type SearchResult struct {
 	Tests int64
 	// FixpointIters and InterferenceTerms tally the Algorithm-3 work behind
 	// those tests: busy-interval iterations run, and interference terms
-	// evaluated. Iteration counts are path-independent — the batched decision
-	// kernel replays the reference's iteration sequence exactly — while term
-	// counts depend on the evaluation strategy (the reference re-sums every
-	// charged stream per iteration; the kernel advances only the streams
-	// whose next arrival was crossed).
+	// evaluated. For one test the decision kernel replays the reference's
+	// iteration sequence exactly, while its term count depends on the
+	// evaluation strategy (the reference re-sums every charged stream per
+	// iteration; the kernel advances only the streams whose next arrival was
+	// crossed). Over a whole run both tallies are path-dependent, because
+	// verdict-cache hits on the production path skip fixpoints altogether.
 	FixpointIters     int64
 	InterferenceTerms int64
+}
+
+// tally books one Algorithm-3 computation and its work into res.
+func (res *SearchResult) tally(cost fixCost) {
+	res.Tests++
+	res.FixpointIters += cost.iters
+	res.InterferenceTerms += cost.terms
 }
 
 // CandidateSearch is Step 1 of Algorithm 1. states covers every partition in
@@ -123,18 +174,19 @@ type SearchResult struct {
 // Π_(i) implies failure for all lower-priority candidates). If every
 // partition passes, CPU idling becomes an additional candidate.
 //
+// This is the uncached reference search: every test runs schedFixpoint from
+// scratch. The production search (stateView.search, batch.go) is pinned
+// against it.
+//
 // The scratch slice, when non-nil, is reused for the candidate list to avoid
 // per-decision allocation.
 func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, scratch []int) SearchResult {
-	return candidateSearch(states, now, w, scratch, nil)
-}
-
-// candidateSearch is CandidateSearch with an optional verdict cache: every
-// schedulability test goes through testVerdict, which serves still-valid
-// memoized verdicts without recomputation. With a nil cache the search is the
-// uncached reference used by the differential digest pin.
-func candidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, scratch []int, cache *Cache) SearchResult {
 	res := SearchResult{Candidates: scratch[:0]}
+	test := func(h int) bool {
+		ok, _, _, cost := schedFixpoint(states, h, now, w)
+		res.tally(cost)
+		return ok
+	}
 	examined := 0 // states[0:examined] have passed a schedulability test
 	first := true
 	for i := range states {
@@ -154,7 +206,7 @@ func candidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, 
 		}
 		ok := true
 		for h := examined; h < i; h++ {
-			if !testVerdict(states, h, now, w, &res, cache) {
+			if !test(h) {
 				ok = false
 				break
 			}
@@ -176,7 +228,7 @@ func candidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, 
 	// remaining partition must pass.
 	idleOK := true
 	for h := examined; h < len(states); h++ {
-		if !testVerdict(states, h, now, w, &res, cache) {
+		if !test(h) {
 			idleOK = false
 			break
 		}
@@ -282,17 +334,17 @@ type Policy struct {
 
 	stats   Stats
 	states  []PartitionState
-	view    stateView // batched arena view (batch.go), used under indexed stepping
+	view    stateView // production path's arena view (batch.go)
 	scratch []int
 	weights []float64
-	cache   *Cache // nil when the verdict cache is disabled
+	cache   Cache // production path's verdict cache (cache.go)
 
-	// Decision-level search reuse: while no partition has been stamped since
-	// the last full search (searchStamp) and now is within the minimum
-	// validity horizon of every verdict that search consulted (searchValid),
-	// the candidate list in scratch and searchIdle are exactly what a fresh
-	// search would produce, so Pick skips the snapshot and search and goes
-	// straight to selection on live weights.
+	// Decision-level search reuse on the production path: while no partition
+	// has been stamped since the last full search (searchStamp) and now is
+	// within the minimum validity horizon of every verdict that search
+	// consulted (searchValid), the candidate list in scratch and searchIdle
+	// are exactly what a fresh search would produce, so Pick skips the search
+	// and goes straight to selection on live weights.
 	searchInit  bool
 	searchIdle  bool
 	searchStamp uint64
@@ -328,25 +380,9 @@ func WithRand(r *rng.Rand) Option {
 	return func(p *Policy) { p.rnd = r }
 }
 
-// WithVerdictCache enables or disables the incremental verdict cache
-// (enabled by default). Disabling it recomputes every schedulability test
-// from scratch — the reference behaviour the differential digest pin
-// compares against; the schedules are identical either way.
-func WithVerdictCache(on bool) Option {
-	return func(p *Policy) {
-		if on {
-			if p.cache == nil {
-				p.cache = &Cache{}
-			}
-		} else {
-			p.cache = nil
-		}
-	}
-}
-
 // NewPolicy builds a TimeDice policy (TimeDiceW unless configured otherwise).
 func NewPolicy(opts ...Option) *Policy {
-	p := &Policy{quantum: DefaultQuantum, mode: SelectWeighted, cache: &Cache{}}
+	p := &Policy{quantum: DefaultQuantum, mode: SelectWeighted}
 	for _, o := range opts {
 		o(p)
 	}
@@ -367,10 +403,8 @@ func (p *Policy) Quantum() vtime.Duration { return p.quantum }
 // Stats returns the accumulated counters.
 func (p *Policy) Stats() Stats {
 	st := p.stats
-	if p.cache != nil {
-		st.CacheHits = p.cache.Hits()
-		st.CacheMisses = p.cache.Misses()
-	}
+	st.CacheHits = p.cache.Hits()
+	st.CacheMisses = p.cache.Misses()
 	return st
 }
 
@@ -383,10 +417,8 @@ func (p *Policy) DecisionDetail() (candidates, tests int64) {
 // ResetStats zeroes the counters.
 func (p *Policy) ResetStats() {
 	p.stats = Stats{}
-	if p.cache != nil {
-		p.cache.hits = 0
-		p.cache.misses = 0
-	}
+	p.cache.hits = 0
+	p.cache.misses = 0
 }
 
 // Reset restores the policy to its initial state — counters zeroed, every
@@ -402,22 +434,17 @@ func (p *Policy) Reset() {
 	p.searchStamp = 0
 	p.searchValid = 0
 	p.searchLen = 0
-	if p.cache != nil {
-		p.cache.Reset()
-	}
+	p.cache.Reset()
 }
 
 // ForkPolicy implements engine.PolicyForker: an independent policy with the
-// same configuration (quantum, selection mode, cache enablement) and fresh
-// decision state, plus a cloned position of the private random stream when
-// WithRand gave the policy one. Starting the fork with an empty verdict cache
-// and no reusable search is digest-exact — both are pinned equivalent to the
-// uncached/unreused paths — so a fork schedules identically to its parent.
+// same configuration (quantum, selection mode) and fresh decision state,
+// plus a cloned position of the private random stream when WithRand gave the
+// policy one. Starting the fork with an empty verdict cache and no reusable
+// search is digest-exact — both are pinned equivalent to the uncached
+// reference — so a fork schedules identically to its parent.
 func (p *Policy) ForkPolicy() engine.GlobalPolicy {
 	np := &Policy{quantum: p.quantum, mode: p.mode}
-	if p.cache != nil {
-		np.cache = &Cache{}
-	}
 	if p.rnd != nil {
 		np.rnd = p.rnd.Clone()
 	}
@@ -443,20 +470,6 @@ func Snapshot(sys *engine.System, states []PartitionState) []PartitionState {
 	return states
 }
 
-// searchReusable reports whether the previous decision's candidate search is
-// still exact at now, and returns the current maximum state stamp either way.
-// Under the timedice_mutation tag the stamp comparison is skipped, mirroring
-// the entry-level mutation (see mutation_on.go).
-func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint64) {
-	// Epoch is by construction the maximum of the per-partition stamps, so
-	// the staleness check is O(1) instead of an O(P) scan.
-	m := sys.Epoch()
-	if p.cache == nil || !p.searchInit || p.searchLen != len(sys.Partitions) {
-		return false, m
-	}
-	return (cacheIgnoresInvalidation || m == p.searchStamp) && now <= p.searchValid, m
-}
-
 // refreshStates updates the policy's persistent snapshot in place, writing
 // only the fields that change between decisions; Budget and Period are
 // constants filled by the initial full Snapshot.
@@ -479,10 +492,13 @@ func (p *Policy) refreshStates(sys *engine.System) {
 }
 
 // Pick implements engine.GlobalPolicy: one full TimeDice decision. Under
-// indexed stepping it runs the batched arena-view path (batch.go); under
-// ScanStepping it runs the AoS reference below, whose snapshot re-reads every
-// live server — the differential digest suite pins the two paths (and hence
-// the engine's arena publication discipline) to byte-identical schedules.
+// indexed stepping it runs the production path (pickView, batch.go): the
+// arena view, the verdict cache, search reuse and the divisionless kernel.
+// Under ScanStepping it runs the reference below: a fresh AoS snapshot of
+// every live server, the uncached CandidateSearch over the plain-division
+// schedFixpoint, and Select. The indexed-vs-scan differential pins the two
+// to byte-identical schedules, so the reference is the oracle for the cache,
+// the kernel and the engine's arena publication at once.
 func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	rnd := p.rnd
 	if rnd == nil {
@@ -493,33 +509,25 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 		return p.pickView(sys, now, rnd)
 	}
 
-	var res SearchResult
-	if reuse, maxStamp := p.searchReusable(sys, now); reuse {
-		// Refresh only what selection reads — the draining budget and the
-		// deadline gap of each candidate; verdicts and runnable flags are
-		// unchanged by construction.
-		for _, i := range p.scratch {
-			srv := sys.Partitions[i].Server
-			p.states[i].Remaining = srv.Remaining()
-			p.states[i].NextReplenish = srv.Deadline()
-		}
-		res = SearchResult{Candidates: p.scratch, IdleOK: p.searchIdle}
-		p.stats.SearchReuses++
-	} else {
-		p.refreshStates(sys)
-		if p.cache != nil {
-			p.cache.begin(sys.StateStamps(), len(p.states))
-		}
-		res = candidateSearch(p.states, now, p.quantum, p.scratch, p.cache)
-		p.scratch = res.Candidates
-		if p.cache != nil {
-			p.searchInit = true
-			p.searchIdle = res.IdleOK
-			p.searchStamp = maxStamp
-			p.searchValid = p.cache.searchValid
-			p.searchLen = len(p.states)
-		}
+	// The reference reuses p.scratch for its candidates, so a stored
+	// production search no longer describes it (ScanStepping may be toggled
+	// mid-run).
+	p.searchInit = false
+	p.refreshStates(sys)
+	res := CandidateSearch(p.states, now, p.quantum, p.scratch)
+	p.scratch = res.Candidates
+	if !p.account(sys, res) {
+		return nil
 	}
+	return p.chosen(sys, res, Select(p.states, res, now, p.mode, rnd, p.weights))
+}
+
+// account books one decision's search into the policy and engine counters
+// and reports whether selection has a candidate to choose among. It also
+// reserves weights capacity for one entry per partition plus the idle
+// option, the most selection appends, which keeps the decision
+// allocation-free.
+func (p *Policy) account(sys *engine.System, res SearchResult) bool {
 	p.stats.SchedTests += res.Tests
 	sys.Counters.FixpointIters += res.FixpointIters
 	sys.Counters.InterferenceTerms += res.InterferenceTerms
@@ -528,16 +536,15 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	if res.IdleOK {
 		p.stats.IdleEligible++
 	}
-	if len(res.Candidates) == 0 {
-		return nil
+	if n := len(sys.Partitions) + 1; cap(p.weights) < n {
+		p.weights = make([]float64, 0, n)
 	}
-	// Select trims weights to length zero and appends at most one entry per
-	// candidate plus the idle option; holding capacity for that here keeps
-	// the whole decision allocation-free.
-	if cap(p.weights) < len(p.states)+1 {
-		p.weights = make([]float64, 0, len(p.states)+1)
-	}
-	choice := Select(p.states, res, now, p.mode, rnd, p.weights)
+	return len(res.Candidates) > 0
+}
+
+// chosen books the selected option and returns its partition, or nil when
+// the idle option won.
+func (p *Policy) chosen(sys *engine.System, res SearchResult, choice int) *partition.Partition {
 	if choice == IdleChoice {
 		p.stats.IdleSelected++
 		return nil

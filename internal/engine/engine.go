@@ -164,14 +164,13 @@ type System struct {
 	MeasureLatency bool
 	// ScanStepping selects the reference O(P) stepping implementation: full
 	// partition scans for event delivery, polling-idle notification, and the
-	// horizon min-reduce, exactly as the engine worked before the indexed
-	// stepping path. The default (false) uses the index-min heap and the
+	// horizon min-reduce. The default (false) uses the index-min heap and the
 	// runnable bitset, whose per-step cost depends on the number of due and
-	// runnable partitions rather than on P. Both paths produce byte-identical
-	// event streams (pinned by the gen differential suite); the scan path
-	// exists as the differential/benchmark baseline, like UncachedTimeDice
-	// does for the verdict cache. Toggling mid-run is safe: the heap keys and
-	// the bitset are maintained in both modes.
+	// runnable partitions rather than on P. It also selects the TimeDice
+	// policy's reference decision path (fresh snapshot, uncached
+	// plain-division tests). Both paths produce byte-identical event streams
+	// (pinned by the gen differential suite). Toggling mid-run is safe: the
+	// heap keys and the bitset are maintained in both modes.
 	ScanStepping bool
 
 	Counters Counters

@@ -15,13 +15,14 @@ import (
 // statistics; the engine's cheap counters are cross-checked against the
 // suite's own event-derived tallies before returning.
 func Run(sc Scenario) (*check.Suite, error) {
-	suite, _, err := run(sc, policies.Options{Quantum: sc.Quantum}, nil)
+	suite, _, err := run(sc, nil)
 	return suite, err
 }
 
 // RunStats carries a recorded run's aggregates: the engine's cheap counters
 // (for post-mortem bundles) and the TimeDice verdict-cache tallies (for live
-// exposition). CacheHits/CacheMisses are zero under non-caching policies.
+// exposition). CacheHits/CacheMisses are zero under non-TimeDice policies and
+// under ScanStepping, whose reference decision path has no cache.
 type RunStats struct {
 	Counters               engine.Counters
 	CacheHits, CacheMisses int64
@@ -33,25 +34,19 @@ type RunStats struct {
 // identical event stream the suite digests, so a recorder window covering
 // the whole run replays to suite.Digest().
 func RunRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, error) {
-	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	st := RunStats{Counters: sys.Counters}
-	if cp, ok := sys.Policy.(interface{ Stats() core.Stats }); ok {
-		cs := cp.Stats()
-		st.CacheHits, st.CacheMisses = cs.CacheHits, cs.CacheMisses
-	}
-	return suite, st, nil
+	return runRecorded(sc, extra)
 }
 
 // RunScanRecorded is RunScan with the run's aggregate statistics returned,
 // the scan-side twin of RunRecorded. The differential suite uses the pair to
 // pin the engine's deterministic counters equal across stepping paths (except
-// the two that are path-dependent by design, ArenaBytesTouched and
-// InterferenceTerms).
+// the ones that are path-dependent by design, see comparableCounters).
 func RunScanRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, error) {
-	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra, scanStepping)
+	return runRecorded(sc, extra, scanStepping)
+}
+
+func runRecorded(sc Scenario, extra telemetry.Sink, tweaks ...func(*engine.System)) (*check.Suite, RunStats, error) {
+	suite, sys, err := run(sc, extra, tweaks...)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -61,15 +56,6 @@ func RunScanRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats,
 		st.CacheHits, st.CacheMisses = cs.CacheHits, cs.CacheMisses
 	}
 	return suite, st, nil
-}
-
-// RunUncached is Run with the TimeDice schedulability-verdict cache disabled.
-// Because the cache is exact, the returned suite must be indistinguishable
-// from Run's — same digest, same violations, same statistics — which the
-// differential tests pin over the simfuzz scenario corpus.
-func RunUncached(sc Scenario) (*check.Suite, error) {
-	suite, _, err := run(sc, policies.Options{Quantum: sc.Quantum, UncachedTimeDice: true}, nil)
-	return suite, err
 }
 
 // RunScan is Run with the engine's reference O(P) scan stepping
@@ -78,14 +64,14 @@ func RunUncached(sc Scenario) (*check.Suite, error) {
 // same violations — which the differential tests pin over the scenario
 // corpus.
 func RunScan(sc Scenario) (*check.Suite, error) {
-	suite, _, err := run(sc, policies.Options{Quantum: sc.Quantum}, nil, scanStepping)
+	suite, _, err := run(sc, nil, scanStepping)
 	return suite, err
 }
 
 // scanStepping flips the built system to the reference stepping path.
 func scanStepping(sys *engine.System) { sys.ScanStepping = true }
 
-func run(sc Scenario, opts policies.Options, extra telemetry.Sink, tweaks ...func(*engine.System)) (*check.Suite, *engine.System, error) {
+func run(sc Scenario, extra telemetry.Sink, tweaks ...func(*engine.System)) (*check.Suite, *engine.System, error) {
 	suite, err := check.NewSuite(sc.Spec, sc.Policy)
 	if err != nil {
 		return nil, nil, err
@@ -94,7 +80,7 @@ func run(sc Scenario, opts policies.Options, extra telemetry.Sink, tweaks ...fun
 	if err != nil {
 		return nil, nil, err
 	}
-	pol, err := policies.Build(sc.Policy, built.Partitions, opts)
+	pol, err := policies.Build(sc.Policy, built.Partitions, policies.Options{Quantum: sc.Quantum})
 	if err != nil {
 		return nil, nil, err
 	}
