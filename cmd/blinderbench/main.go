@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/experiments"
 	"timedice/internal/obs"
 )
@@ -19,9 +20,11 @@ func main() {
 	seed := fs.Uint64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "trial workers: 0 = one per CPU, 1 = sequential")
 	obsFlags := obs.AddFlags(fs)
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(2)
+	err := cliflag.Parse(fs, os.Args[1:])
+	if err == nil {
+		err = cliflag.NonNegative(fs, "windows", "parallel")
 	}
+	cliflag.Exit("blinderbench", err)
 	ledger, srv, err := obsFlags.Start("blinderbench", fs, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "blinderbench:", err)

@@ -22,16 +22,14 @@ import (
 	"strings"
 	"time"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/experiments"
 	"timedice/internal/obs"
 	"timedice/internal/prof"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "covertbench:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("covertbench", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -44,7 +42,13 @@ func run(args []string) error {
 	progress := fs.Bool("progress", false, "print a periodic progress line to stderr")
 	obsFlags := obs.AddFlags(fs)
 	pf := prof.AddFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cliflag.NonNegative(fs, "parallel"); err != nil {
+		return err
+	}
+	if err := cliflag.OneOf(fs, "scale", "quick", "full"); err != nil {
 		return err
 	}
 	sc := experiments.Quick()
@@ -82,7 +86,7 @@ func run(args []string) error {
 		}
 	}
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown experiment %q", *fig)
+		return cliflag.Errorf("-fig %q: unknown experiment", *fig)
 	}
 
 	// Campaign ops: one Progress "trial" per experiment, the run ledger, and

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/covert"
 	"timedice/internal/engine"
 	"timedice/internal/experiments"
@@ -28,10 +29,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("figures", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -42,7 +40,10 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "render workers: 0 = one per CPU, 1 = sequential")
 	stream := fs.Bool("stream", false, "streaming (constant-memory sketch) aggregation for the Fig. 16 boxes; exact is the default")
 	obsFlags := obs.AddFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cliflag.NonNegative(fs, "windows", "parallel"); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {

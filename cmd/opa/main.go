@@ -15,25 +15,23 @@ import (
 	"os"
 
 	"timedice/internal/analysis"
+	"timedice/internal/cliflag"
 	"timedice/internal/model"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "opa:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("opa", run(os.Args[1:]))
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("opa", flag.ContinueOnError)
 	configPath := fs.String("config", "", "path to a JSON system spec (required)")
 	emit := fs.Bool("emit", false, "print the reordered spec as JSON")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	if *configPath == "" {
-		return fmt.Errorf("-config is required")
+		return cliflag.Errorf("-config is required")
 	}
 	f, err := os.Open(*configPath)
 	if err != nil {

@@ -13,16 +13,14 @@ import (
 	"fmt"
 	"os"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/experiments"
 	"timedice/internal/obs"
 	"timedice/internal/prof"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "overheadbench:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("overheadbench", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -34,7 +32,10 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 1, "trial workers: 0 = one per CPU, 1 = sequential (keeps Table IV latencies noise-free)")
 	obsFlags := obs.AddFlags(fs)
 	pf := prof.AddFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cliflag.NonNegative(fs, "secs", "parallel"); err != nil {
 		return err
 	}
 	ledger, srv, err := obsFlags.Start("overheadbench", fs, nil)

@@ -16,15 +16,13 @@ import (
 	"strings"
 	"time"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/experiments"
 	"timedice/internal/obs"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("report", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -36,7 +34,13 @@ func run(args []string) error {
 	stream := fs.Bool("stream", false, "streaming (constant-memory sketch) aggregation for campaign/fig16; exact is the default")
 	progress := fs.Bool("progress", false, "print a periodic progress line to stderr")
 	obsFlags := obs.AddFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cliflag.NonNegative(fs, "parallel"); err != nil {
+		return err
+	}
+	if err := cliflag.OneOf(fs, "scale", "quick", "full"); err != nil {
 		return err
 	}
 	sc := experiments.Quick()

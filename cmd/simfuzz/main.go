@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"timedice/internal/check"
+	"timedice/internal/cliflag"
 	"timedice/internal/engine"
 	"timedice/internal/experiments/runner"
 	"timedice/internal/gen"
@@ -86,7 +87,7 @@ func main() {
 	var cfg config
 	flag.IntVar(&cfg.scenarios, "scenarios", 1000, "number of scenarios to generate and check")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "master seed; the whole campaign is a pure function of it")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "worker count (<=0: one per CPU); does not affect output")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "worker count (0: one per CPU); does not affect output")
 	flag.BoolVar(&cfg.shrink, "shrink", true, "minimize the first failing scenario before reporting it")
 	flag.IntVar(&cfg.window, "recwindow", obs.DefaultRecorderWindow, "flight-recorder window per worker, in telemetry events")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write campaign state to this file after every chunk (enables resumption)")
@@ -98,10 +99,7 @@ func main() {
 	pf := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := validate(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "simfuzz:", err)
-		os.Exit(2)
-	}
+	cliflag.Exit("simfuzz", validate(cfg))
 	cfg.prog = obs.NewProgress("simfuzz", int64(cfg.scenarios))
 	run, srv, err := obsFlags.Start("simfuzz", flag.CommandLine, cfg.prog)
 	if err != nil {
@@ -147,17 +145,20 @@ func main() {
 	os.Exit(code)
 }
 
-// validate rejects numeric flag values that have no meaning. -parallel is
-// exempt: <= 0 documents "one per CPU". -checkpoint-every 0 keeps the
-// default chunk size.
+// validate rejects numeric flag values that have no meaning, as usage
+// errors. -parallel 0 means one worker per CPU, -checkpoint-every 0 keeps the
+// default chunk size, and -recwindow 0 the default window.
 func validate(cfg config) error {
-	switch {
-	case cfg.scenarios < 0:
-		return fmt.Errorf("-scenarios %d: must be >= 0", cfg.scenarios)
-	case cfg.explore < 0:
-		return fmt.Errorf("-explore %d: must be >= 0", cfg.explore)
-	case cfg.checkpointEvery < 0:
-		return fmt.Errorf("-checkpoint-every %d: must be >= 0", cfg.checkpointEvery)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"scenarios", cfg.scenarios}, {"parallel", cfg.parallel}, {"recwindow", cfg.window},
+		{"checkpoint-every", cfg.checkpointEvery}, {"explore", cfg.explore},
+	} {
+		if f.v < 0 {
+			return cliflag.Errorf("-%s %d: must be >= 0", f.name, f.v)
+		}
 	}
 	return nil
 }

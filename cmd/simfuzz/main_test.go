@@ -251,15 +251,17 @@ func TestCheckpointResumeMismatch(t *testing.T) {
 	}
 }
 
-// TestValidate pins the numeric flag checks: nonsensical counts are errors,
-// zero values and -parallel <= 0 ("one per CPU") are not.
+// TestValidate pins the numeric flag checks: negative counts are errors,
+// zero values (-parallel 0 is "one per CPU") are not.
 func TestValidate(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  config
 		want string // "" = valid
 	}{
 		{config{}, ""},
-		{config{scenarios: 10, parallel: -1, explore: 2, checkpointEvery: 4}, ""},
+		{config{scenarios: 10, parallel: 2, window: 8, explore: 2, checkpointEvery: 4}, ""},
+		{config{parallel: -2}, "-parallel"},
+		{config{window: -1}, "-recwindow"},
 		{config{scenarios: -1}, "-scenarios"},
 		{config{explore: -1}, "-explore"},
 		{config{checkpointEvery: -1}, "-checkpoint-every"},

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/engine"
 	"timedice/internal/model"
 	"timedice/internal/policies"
@@ -24,10 +25,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "timedice-sim:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("timedice-sim", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -40,16 +38,16 @@ func run(args []string) error {
 	pngPath := fs.String("png", "", "also write the trace as a PNG Gantt chart to this path")
 	cell := fs.Duration("cell", time.Millisecond, "gantt cell size")
 	seed := fs.Uint64("seed", 1, "random seed")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	// Virtual time counts whole microseconds: a shorter -dur leaves no time
 	// to report rates over, and a shorter -cell an empty Gantt column.
 	if *dur < time.Microsecond {
-		return fmt.Errorf("-dur %v: must be at least 1µs", *dur)
+		return cliflag.Errorf("-dur %v: must be at least 1µs", *dur)
 	}
 	if *cell < time.Microsecond {
-		return fmt.Errorf("-cell %v: must be at least 1µs", *cell)
+		return cliflag.Errorf("-cell %v: must be at least 1µs", *cell)
 	}
 
 	var spec model.SystemSpec

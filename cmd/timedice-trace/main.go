@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"timedice/internal/cliflag"
 	"timedice/internal/engine"
 	"timedice/internal/model"
 	"timedice/internal/policies"
@@ -37,10 +38,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "timedice-trace:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("timedice-trace", run(os.Args[1:], os.Stdout))
 }
 
 func run(args []string, stdout *os.File) error {
@@ -51,11 +49,11 @@ func run(args []string, stdout *os.File) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	out := fs.String("out", "trace-out", "output directory for trace/event/metrics artifacts")
 	summaryPath := fs.String("summary", "", "print the summary of a saved events.jsonl and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
 	}
 	if *dur < 0 {
-		return fmt.Errorf("-dur %v: must not be negative", *dur)
+		return cliflag.Errorf("-dur %v: must not be negative", *dur)
 	}
 
 	if *summaryPath != "" {

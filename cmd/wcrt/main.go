@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"timedice/internal/analysis"
+	"timedice/internal/cliflag"
 	"timedice/internal/experiments"
 	"timedice/internal/model"
 	"timedice/internal/obs"
@@ -22,10 +23,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "wcrt:", err)
-		os.Exit(1)
-	}
+	cliflag.Exit("wcrt", run(os.Args[1:]))
 }
 
 func run(args []string) error {
@@ -37,8 +35,21 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "trial workers for the empirical run: 0 = one per CPU, 1 = sequential")
 	configPath := fs.String("config", "", "analyze a JSON system spec instead of Table I (analytic only)")
 	obsFlags := obs.AddFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return err
+	}
+	if err := cliflag.NonNegative(fs, "empirical", "parallel"); err != nil {
+		return err
+	}
+	// B_i = alpha·T_i and e_ij = beta·p_ij must be positive and fit their
+	// period.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"alpha", *alpha}, {"beta", *beta}} {
+		if !(f.v > 0 && f.v <= 1) {
+			return cliflag.Errorf("-%s %v: must be in (0, 1]", f.name, f.v)
+		}
 	}
 	ledger, srv, err := obsFlags.Start("wcrt", fs, nil)
 	if err != nil {

@@ -29,13 +29,22 @@ package core
 // that bound the verdict's validity horizon, so the horizon falls out of the
 // recorded minimum for free.
 //
+// Within one candidate search that state also carries from level to level:
+// a passed level's converged interval is a lower bound of every higher
+// level's, so the next computed level opens from it, advancing the carried
+// streams and admitting only the new ones, instead of re-sweeping all h
+// streams from w0. A search then costs O(P) interference terms rather than
+// Σh = O(P²).
+//
 // Exactness contract: every arithmetic step computes the same values as
 // schedFixpoint/Select (including the NextSupply==0 fallback and the float64
 // lottery weights), so verdicts, candidate lists, and random draws are
 // bit-identical to the reference. TestViewMatchesAoS pins that per function
-// (including per-iteration equality of the incremental sum and the cached
-// search against the uncached one); the indexed-vs-scan digest suite pins it
-// end to end.
+// (including per-iteration equality of the incremental sum, the standalone
+// fixpoint's iteration-for-iteration replay, and the cached search against
+// the uncached one); TestCarriedSearchMatchesStandalone and
+// TestCarriedSearchNoLeak pin every carried level against the standalone
+// fixpoint; the indexed-vs-scan digest suite pins it end to end.
 
 import (
 	"timedice/internal/bitset"
@@ -125,19 +134,36 @@ func (v *stateView) extend(h int) {
 //
 // The tracked stream set is hp(Π_h), plus Π_h's own replenishment stream when
 // it is inactive (its indirect interference term) — exactly the streams
-// schedFixpoint charges. kernelInit opens the run at cur = w0 with one
-// divisionless sweep, leaving narr[j] = the first arrival of stream j at or
-// after cur. Each subsequent iteration exploits that cur only grows: streams
+// schedFixpoint charges, always the prefix [0, m) of the arenas. The run
+// keeps narr[j] = the first arrival of stream j at or after cur together with
+// the running interference sum, and exploits that cur only grows: streams
 // whose recorded arrival is still at or beyond the new cur contribute no new
 // replenishments, so their count, sum share, and arrival carry over untouched,
-// and the rescan (guarded by the running minimum arrival) advances only the
-// crossed ones. The running sum therefore always equals the reference's
-// from-scratch Σ ⌈(cur−o)/T⌉₀·B — in exact integers, hence bit-for-bit in
-// int64 — and the iteration sequence (and so the verdict and converged cur)
-// replays the reference exactly. At convergence narr holds each tracked
-// stream's first arrival at or after cur; their minimum is returned in minArr
-// for horizonOf.
-func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
+// and the rescan (advance, guarded by the running minimum arrival) moves only
+// the crossed ones. The running sum therefore always equals the reference's
+// from-scratch Σ ⌈(cur−o)/T⌉₀·B at the current cur — in exact integers, hence
+// bit-for-bit in int64. At convergence narr holds each tracked stream's first
+// arrival at or after cur; their minimum is returned in minArr for horizonOf.
+//
+// How the run opens depends on c:
+//
+//   - c == nil (the standalone form): kernelInit sweeps all m streams at
+//     cur = w0, and the iteration sequence replays schedFixpoint's exactly.
+//   - c holds the state of a lower level L that passed earlier in the same
+//     search: the run starts from the seed max(w0, E_L), advancing the carried
+//     streams [0, c.m) to the seed and admitting only [c.m, m) with kernelInit.
+//     Level h charges every stream and budget level L charges plus more, so
+//     f_h ≥ f_L pointwise and E_L ≤ E_h; the seed is a lower bound of E_h with
+//     f_h(seed) ≥ seed, and iterating upward from it reaches the same least
+//     fixpoint E_h — the same verdict, cur and minArr — in no more
+//     iterations. Over one search the openings then cost O(P) terms in total
+//     instead of Σh = O(P²).
+//   - c is empty, or its m exceeds this level's (never within one search,
+//     where h increases): the standalone opening.
+//
+// A pass records this level's state in c for the next one; a fail drops it
+// (the run may have advanced narr past the carried cur).
+func (v *stateView) fixpoint(h int, w vtime.Duration, c *carry) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
 	active := v.remaining[h] > 0
 	w0 := w + v.remPrefix[h]
 	if active {
@@ -147,6 +173,7 @@ func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, m
 		deadline = v.deadline[h].Add(v.period[h]).Sub(v.now)
 	}
 	if w0 > deadline {
+		c.drop()
 		return false, 0, deadline, 0, cost
 	}
 	m := h
@@ -159,8 +186,25 @@ func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, m
 	rec := v.recip[:m]
 	narr := v.narr[:m]
 	cur = w0
-	sum, minArr := kernelInit(off, per, bud, rec, narr, cur)
-	cost.terms = int64(m)
+	var sum vtime.Duration
+	if c != nil && c.valid && c.m <= m {
+		cost.carried = true
+		cur = max(cur, c.cur)
+		sum, minArr = c.sum, c.minArr
+		if cur > minArr {
+			d, a, n := advance(narr[:c.m], per[:c.m], bud[:c.m], rec[:c.m], cur)
+			sum += d
+			minArr = a
+			cost.terms += n
+		}
+		s, mn := kernelInit(off[c.m:], per[c.m:], bud[c.m:], rec[c.m:], narr[c.m:], cur)
+		sum += s
+		minArr = min(minArr, mn)
+		cost.terms += int64(m - c.m)
+	} else {
+		sum, minArr = kernelInit(off, per, bud, rec, narr, cur)
+		cost.terms = int64(m)
+	}
 	for {
 		cost.iters++
 		if fixpointIterHook != nil {
@@ -168,27 +212,43 @@ func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, m
 		}
 		next := w0 + sum
 		if next > deadline {
+			c.drop()
 			return false, cur, deadline, 0, cost
 		}
 		if next == cur {
+			if c != nil {
+				*c = carry{valid: true, m: m, cur: cur, sum: sum, minArr: minArr}
+			}
 			return true, cur, deadline, minArr, cost
 		}
 		cur = next
 		if cur > minArr {
-			minArr = vtime.Forever
-			for j, a := range narr {
-				if a < cur {
-					d := vtime.Duration(rec[j].CeilDiv(cur - a))
-					sum += d * bud[j]
-					a += d * per[j]
-					narr[j] = a
-					cost.terms++
-				}
-				if a < minArr {
-					minArr = a
-				}
-			}
+			d, a, n := advance(narr, per, bud, rec, cur)
+			sum += d
+			minArr = a
+			cost.terms += n
 		}
+	}
+}
+
+// carry is the busy-interval state one candidate search hands from a passed
+// level to the next level it computes: that level's tracked-stream count m,
+// its converged interval end cur, the interference sum of streams [0, m) at
+// cur, and the minimum of their next arrivals, which narr[:m] holds. Cache
+// hits in between leave it intact: any lower passed level of the same
+// decision is a valid seed. The zero value carries nothing.
+type carry struct {
+	valid    bool
+	m        int
+	cur, sum vtime.Duration
+	minArr   vtime.Duration
+}
+
+// drop forgets the carried state; a nil carry (the standalone fixpoint) has
+// none to forget.
+func (c *carry) drop() {
+	if c != nil {
+		c.valid = false
 	}
 }
 
@@ -208,16 +268,20 @@ func horizonOf(cur, deadline, minArr vtime.Duration) vtime.Duration {
 }
 
 // testVerdict is the production test front end: it serves a still-valid
-// memoized verdict from cache, or runs the kernel fixpoint and memoizes the
-// fresh verdict with its validity horizon. res.Tests counts only actual
+// memoized verdict from cache, or runs the kernel fixpoint — opening from the
+// search's carried state c when it holds a lower passed level — and memoizes
+// the fresh verdict with its validity horizon. res.Tests counts only actual
 // Algorithm-3 computations, never cache hits; the fixpoint's work tallies
 // accumulate alongside.
-func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cache *Cache) bool {
+func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cache *Cache, c *carry) bool {
 	if ok, hit := cache.lookup(h, v.now); hit {
 		return ok
 	}
 	v.extend(h)
-	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
+	ok, cur, deadline, minArr, cost := v.fixpoint(h, w, c)
+	if verdictHook != nil {
+		verdictHook(h, ok, cur, deadline, minArr, cost)
+	}
 	res.tally(cost)
 	validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
 	if ok {
@@ -227,13 +291,22 @@ func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cach
 	return ok
 }
 
+// verdictHook, when non-nil, observes every Algorithm-3 computation
+// testVerdict runs: the level h and the fixpoint's full outcome and cost.
+// Tests install it to pin each carried run against the standalone fixpoint;
+// production leaves it nil.
+var verdictHook func(h int, ok bool, cur, deadline, minArr vtime.Duration, cost fixCost)
+
 // search is CandidateSearch over the view, with every test going through
 // the verdict cache. Instead of scanning all P states for the Runnable flag,
 // it walks the set bits of the ready set — O(occupied groups + runnable) —
 // and runs the same incremental coverage of the partitions between
-// candidates.
+// candidates. The tests it computes share one carry, so each level's
+// fixpoint opens from the last passed one; the carry starts empty here, so
+// nothing crosses from one search (or one w) to the next.
 func (v *stateView) search(w vtime.Duration, scratch []int, cache *Cache) SearchResult {
 	res := SearchResult{Candidates: scratch[:0]}
+	var c carry
 	examined := 0
 	first := true
 	failed := false
@@ -247,7 +320,7 @@ func (v *stateView) search(w vtime.Duration, scratch []int, cache *Cache) Search
 			return true
 		}
 		for h := examined; h < i; h++ {
-			if !v.testVerdict(h, w, &res, cache) {
+			if !v.testVerdict(h, w, &res, cache, &c) {
 				failed = true
 				return false
 			}
@@ -264,7 +337,7 @@ func (v *stateView) search(w vtime.Duration, scratch []int, cache *Cache) Search
 	}
 	idleOK := true
 	for h := examined; h < v.n(); h++ {
-		if !v.testVerdict(h, w, &res, cache) {
+		if !v.testVerdict(h, w, &res, cache, &c) {
 			idleOK = false
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"timedice/internal/bitset"
@@ -102,10 +103,11 @@ func passHorizon(states []PartitionState, h int, now vtime.Time, cur, deadline v
 // path: on random snapshots, the view fixpoint (the divisionless incremental
 // kernel) and its validity horizon, the cached candidate search, and the
 // lottery selection must reproduce the uncached AoS reference bit-for-bit —
-// same verdicts, same candidates, same iteration counts, same random draws.
-// The cached search runs twice under the same stamps: the cold run must
-// compute exactly the reference's tests, and the warm run must serve every
-// one of them from the cache with the same outcome. A fixpointIterHook
+// same verdicts, same candidates, same per-level iteration counts, same random
+// draws. The cached search runs twice under the same stamps: the cold run must
+// compute exactly the reference's tests (in no more iterations: it carries
+// each level's fixpoint into the next), and the warm run must serve every one
+// of them from the cache with the same outcome. A fixpointIterHook
 // additionally re-sums the interference from scratch with plain division at
 // every kernel iteration and requires the incrementally maintained sum to
 // match exactly.
@@ -143,7 +145,7 @@ func TestViewMatchesAoS(t *testing.T) {
 		v.extend(n - 1)
 		for h := 0; h < n; h++ {
 			aok, acur, adl, acost := schedFixpoint(states, h, now, w)
-			vok, vcur, vdl, vmin, vcost := v.fixpoint(h, w)
+			vok, vcur, vdl, vmin, vcost := v.fixpoint(h, w, nil)
 			if aok != vok || acur != vcur || adl != vdl {
 				t.Fatalf("trial %d h=%d: fixpoint (%v,%v,%v) vs view (%v,%v,%v)",
 					trial, h, aok, acur, adl, vok, vcur, vdl)
@@ -177,7 +179,10 @@ func TestViewMatchesAoS(t *testing.T) {
 		c.begin(stamps, n)
 		vres := v.search(w, nil, &c)
 		compareSearch(t, trial, "cold", ares, vres)
-		if vres.Tests != ares.Tests || vres.FixpointIters != ares.FixpointIters {
+		// The carried search opens each level from the last passed one, so
+		// it may skip iterations the reference runs, never add any; the
+		// per-level replay above stays exact.
+		if vres.Tests != ares.Tests || vres.FixpointIters > ares.FixpointIters {
 			t.Fatalf("trial %d cold: view ran %d tests / %d iterations, reference %d / %d",
 				trial, vres.Tests, vres.FixpointIters, ares.Tests, ares.FixpointIters)
 		}
@@ -267,4 +272,168 @@ func TestViewExtendLazy(t *testing.T) {
 	if res.Tests != aos.Tests {
 		t.Fatalf("lazy: view ran %d tests, reference %d", res.Tests, aos.Tests)
 	}
+}
+
+// levelRun is one Algorithm-3 computation of a production search, as
+// observed through verdictHook.
+type levelRun struct {
+	h                     int
+	ok                    bool
+	cur, deadline, minArr vtime.Duration
+	cost                  fixCost
+}
+
+// recordLevels installs verdictHook for the rest of the test and returns the
+// log it appends every computed level to.
+func recordLevels(t *testing.T) *[]levelRun {
+	var runs []levelRun
+	verdictHook = func(h int, ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
+		runs = append(runs, levelRun{h, ok, cur, deadline, minArr, cost})
+	}
+	t.Cleanup(func() { verdictHook = nil })
+	return &runs
+}
+
+// carryTally counts how the levels of the checked searches opened and ended.
+type carryTally struct {
+	carried, fresh, failed int
+	inactive               int // carried openings at an inactive level (own stream admitted)
+	acrossHits             int // carried openings with a cache hit since the last computed level
+}
+
+// checkCarried pins every level one search computed (runs, in order) against
+// the standalone unseeded fixpoint on the same view and against the
+// plain-division reference: same verdict and deadline, and on a pass the same
+// converged cur, minArr and validity horizon; never more iterations or
+// interference terms than the reference. The first computed level must open
+// fresh and every later one from the carry, which both proves that cache
+// hits in between keep the carry and that no carry enters from an earlier
+// search. (A level whose base demand alone overruns its deadline fails
+// without opening.) It runs after the search, so the standalone fixpoints may reuse
+// the view's scratch.
+func checkCarried(t *testing.T, ctx string, states []PartitionState, v *stateView, w vtime.Duration, runs []levelRun, tl *carryTally) {
+	t.Helper()
+	for i, r := range runs {
+		ok, cur, dl, minArr, _ := v.fixpoint(r.h, w, nil)
+		_, _, _, ref := schedFixpoint(states, r.h, v.now, w)
+		if r.ok != ok || r.deadline != dl {
+			t.Fatalf("%s h=%d: carried (%v, deadline %v) vs standalone (%v, deadline %v)", ctx, r.h, r.ok, r.deadline, ok, dl)
+		}
+		if ok {
+			if r.cur != cur || r.minArr != minArr {
+				t.Fatalf("%s h=%d: carried pass (cur %v, minArr %v) vs standalone (cur %v, minArr %v)", ctx, r.h, r.cur, r.minArr, cur, minArr)
+			}
+			if got, want := horizonOf(r.cur, r.deadline, r.minArr), passHorizon(states, r.h, v.now, cur, dl); got != want {
+				t.Fatalf("%s h=%d: carried horizon %v, passHorizon %v", ctx, r.h, got, want)
+			}
+		} else {
+			tl.failed++
+		}
+		if r.cost.iters > ref.iters || r.cost.terms > ref.terms {
+			t.Fatalf("%s h=%d: carried run cost %d iterations / %d terms, reference %d / %d", ctx, r.h, r.cost.iters, r.cost.terms, ref.iters, ref.terms)
+		}
+		if r.cost.iters == 0 {
+			// w0 alone overruns the deadline: the level fails before any
+			// opening.
+			if r.ok || r.cost.carried {
+				t.Fatalf("%s h=%d: a run without iterations must fail unopened, got %+v", ctx, r.h, r)
+			}
+			continue
+		}
+		if r.cost.carried != (i > 0) {
+			t.Fatalf("%s h=%d: computed level %d of the search opened carried=%v", ctx, r.h, i, r.cost.carried)
+		}
+		if !r.cost.carried {
+			tl.fresh++
+			continue
+		}
+		tl.carried++
+		if !states[r.h].Active {
+			tl.inactive++
+		}
+		if runs[i-1].h < r.h-1 {
+			tl.acrossHits++
+		}
+	}
+}
+
+// TestCarriedSearchMatchesStandalone pins the carried candidate search level
+// by level: on random snapshots (inactive partitions, sporadic supply anchors
+// before the deadline, searches that fail part-way) and on the dense kernel
+// fixture at P=64 and P=256, every level the cold production search computes
+// must agree with the standalone fixpoint, and the search with the uncached
+// reference.
+func TestCarriedSearchMatchesStandalone(t *testing.T) {
+	r := rng.New(0xca77)
+	now := vtime.Time(17 * vtime.Millisecond)
+	w := DefaultQuantum
+	runs := recordLevels(t)
+	var tl carryTally
+	check := func(ctx string, states []PartitionState) {
+		n := len(states)
+		v := viewFromStates(states, now)
+		var c Cache
+		c.begin(make([]uint64, n), n)
+		*runs = (*runs)[:0]
+		res := v.search(w, nil, &c)
+		compareSearch(t, 0, ctx, CandidateSearch(states, now, w, nil), res)
+		checkCarried(t, ctx, states, v, w, *runs, &tl)
+	}
+	for trial := 0; trial < 500; trial++ {
+		check(fmt.Sprintf("random trial %d", trial), randomStates(r, 1+r.Intn(48), now))
+	}
+	for _, n := range []int{64, 256} {
+		check(fmt.Sprintf("dense P=%d", n), denseKernelStates(n, now))
+	}
+	if tl.carried == 0 || tl.fresh == 0 || tl.failed == 0 || tl.inactive == 0 {
+		t.Fatalf("fixture lost coverage: %+v; need carried and fresh openings, failing levels and carried inactive levels", tl)
+	}
+	t.Logf("%+v", tl)
+}
+
+// TestCarriedSearchNoLeak runs searches back to back on one bound view with
+// two inversion lengths, each with its own verdict cache. The second round
+// expires a random subset of each cache's verdicts, so computed levels
+// interleave with cache hits. Every search must match the uncached reference
+// for its own w, with each computed level pinned by checkCarried: a carry
+// surviving from the previous search (other w, larger or smaller interval)
+// would open that search's first computed level from it.
+func TestCarriedSearchNoLeak(t *testing.T) {
+	r := rng.New(0x1eaf)
+	now := vtime.Time(17 * vtime.Millisecond)
+	runs := recordLevels(t)
+	var tl carryTally
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(40)
+		states := randomStates(r, n, now)
+		v := viewFromStates(states, now)
+		stamps := make([]uint64, n)
+		ws := []vtime.Duration{DefaultQuantum, 3 * DefaultQuantum}
+		if trial%2 == 1 {
+			ws[0], ws[1] = ws[1], ws[0]
+		}
+		caches := make([]Cache, len(ws))
+		for round := 0; round < 2; round++ {
+			for k, w := range ws {
+				c := &caches[k]
+				c.begin(stamps, n)
+				if round == 1 {
+					for h := range c.entries {
+						if r.Intn(2) == 0 {
+							c.entries[h].validUntil = -1
+						}
+					}
+				}
+				*runs = (*runs)[:0]
+				res := v.search(w, nil, c)
+				ctx := fmt.Sprintf("trial %d round %d w=%v", trial, round, w)
+				compareSearch(t, trial, ctx, CandidateSearch(states, now, w, nil), res)
+				checkCarried(t, ctx, states, v, w, *runs, &tl)
+			}
+		}
+	}
+	if tl.carried == 0 || tl.fresh == 0 || tl.failed == 0 || tl.acrossHits == 0 {
+		t.Fatalf("fixture lost coverage: %+v; need carried and fresh openings, failing levels and carries across cache hits", tl)
+	}
+	t.Logf("%+v", tl)
 }

@@ -26,7 +26,7 @@ func twoPartStates(now vtime.Time) []PartitionState {
 // the way bind does at every decision.
 func verdictAt(v *stateView, h int, now vtime.Time, res *SearchResult, c *Cache) bool {
 	v.now, v.hoistN = now, 0
-	return v.testVerdict(h, 0, res, c)
+	return v.testVerdict(h, 0, res, c, nil)
 }
 
 // TestCachePrefixStaleness pins the per-partition invalidation rule: a stamp

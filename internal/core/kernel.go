@@ -10,8 +10,8 @@ package core
 //     the oracle the divisionless kernel is pinned against, and the
 //     corrupted-reciprocal timedice_mutation mutant is caught precisely
 //     because this path does not share the reciprocal constants;
-//   - the divisionless kernel form (kernelInit and the incremental advance
-//     inside stateView.fixpoint), which computes the identical values through
+//   - the divisionless kernel form (kernelInit and advance, composed by
+//     stateView.fixpoint), which computes the identical values through
 //     vtime.Reciprocal over the engine's constant SoA arenas.
 //
 // vtime's recip_test.go proves the two division forms agree on the entire
@@ -22,13 +22,17 @@ import "timedice/internal/vtime"
 
 // fixCost tallies the work of one Algorithm-3 busy-interval run:
 // fixpoint iterations and interference terms actually evaluated. For the
-// same test the incremental kernel replays the reference iteration sequence
-// exactly, while term counts depend on the evaluation strategy (the
+// same test the standalone kernel replays the reference iteration sequence
+// exactly, and a carried run (opened from a lower level's fixpoint) runs no
+// more iterations; term counts depend on the evaluation strategy (the
 // reference re-sums every stream per iteration, the kernel advances only the
 // streams whose next arrival was crossed).
 type fixCost struct {
 	iters int64
 	terms int64
+	// carried reports that the run opened from the carried state of a lower
+	// passed level (stateView.fixpoint) rather than a full kernelInit.
+	carried bool
 }
 
 // fixpointIterHook, when non-nil, observes every busy-interval iteration of
@@ -47,8 +51,10 @@ func streamInterference(cur, o, period, budget vtime.Duration) vtime.Duration {
 	return vtime.Duration(vtime.CeilDiv(cur-o, period)) * budget
 }
 
-// kernelInit is the unrolled SoA sweep that opens one kernel fixpoint run:
-// for every tracked stream j it derives — divisionlessly — the number of
+// kernelInit is the unrolled SoA sweep that admits streams into a kernel
+// fixpoint run at interval length cur — all m of them when the run opens
+// standalone, only those a carried run does not yet track otherwise: for
+// every stream j it derives — divisionlessly — the number of
 // replenishments strictly before cur, accumulates the interference sum, and
 // records the stream's next arrival at or after cur in narr. It returns the
 // sum and the minimum recorded arrival (vtime.Forever when no stream is
@@ -93,4 +99,29 @@ func kernelInit(off, per, bud []vtime.Duration, rec []vtime.Reciprocal, narr []v
 		}
 	}
 	return sum, minArr
+}
+
+// advance moves every tracked stream whose recorded next arrival narr[j] lies
+// before cur up to its first arrival at or after cur, returning the
+// interference those crossed arrivals add, the new minimum recorded arrival,
+// and the number of streams advanced (the terms evaluated). Streams already at
+// or beyond cur are only compared. The slices must share narr's length.
+func advance(narr, per, bud []vtime.Duration, rec []vtime.Reciprocal, cur vtime.Duration) (sum, minArr vtime.Duration, terms int64) {
+	per = per[:len(narr)]
+	bud = bud[:len(narr)]
+	rec = rec[:len(narr)]
+	minArr = vtime.Forever
+	for j, a := range narr {
+		if a < cur {
+			d := vtime.Duration(rec[j].CeilDiv(cur - a))
+			sum += d * bud[j]
+			a += d * per[j]
+			narr[j] = a
+			terms++
+		}
+		if a < minArr {
+			minArr = a
+		}
+	}
+	return sum, minArr, terms
 }

@@ -40,19 +40,28 @@ func denseKernelStates(n int, now vtime.Time) []PartitionState {
 
 var benchVerdictSink bool
 
-// BenchmarkDecisionKernel times one full per-partition Algorithm-3 sweep
-// (h = 0..P−1, uncached — exactly the fixpoint work of a worst-case decision)
-// through the two implementations that the differential suite pins equal:
+// BenchmarkDecisionKernel times the Algorithm-3 work of a worst-case decision
+// through the implementations the differential suite pins equal. Two
+// sub-benchmarks time one full per-partition sweep (h = 0..P−1, each level
+// standalone and uncached):
 //
 //   - reference: the AoS schedFixpoint, hardware division, full re-summation
 //     every iteration;
 //   - kernel: the batched stateView fixpoint, reciprocal division, incremental
 //     interference maintenance.
 //
-// CI runs both from the same binary and gates the dense kernel/reference
-// ratio (see .github/workflows/ci.yml); the dense fixture is the multi-
-// iteration high-interference shape, sparse is the randomized mostly-inactive
-// mix where early convergence dominates.
+// Two more time one whole candidate search over the same states:
+//
+//   - search_reference: the uncached CandidateSearch, every level from
+//     scratch;
+//   - search: the production stateView search on a cold verdict cache, each
+//     computed level opening from the last passed one's carried fixpoint.
+//
+// CI runs them from the same binary and gates the dense_P64 kernel/reference
+// and the dense_P256 search/search_reference ratios (see
+// .github/workflows/ci.yml); the dense fixture is the multi-iteration
+// high-interference shape, sparse is the randomized mostly-inactive mix where
+// early convergence (and early search failure) dominates.
 func BenchmarkDecisionKernel(b *testing.B) {
 	now := vtime.Time(17 * vtime.Millisecond)
 	w := DefaultQuantum
@@ -61,6 +70,7 @@ func BenchmarkDecisionKernel(b *testing.B) {
 		states []PartitionState
 	}{
 		{"dense_P64", denseKernelStates(64, now)},
+		{"dense_P256", denseKernelStates(256, now)},
 		{"dense_P1024", denseKernelStates(1024, now)},
 		{"sparse_P1024", randomStates(rng.New(0xd1ce), 1024, now)},
 	}
@@ -82,9 +92,34 @@ func BenchmarkDecisionKernel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for h := 0; h < n; h++ {
-					ok, _, _, _, _ := v.fixpoint(h, w)
+					ok, _, _, _, _ := v.fixpoint(h, w, nil)
 					benchVerdictSink = benchVerdictSink != ok
 				}
+			}
+		})
+		b.Run(fx.name+"/search_reference", func(b *testing.B) {
+			var scratch []int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := CandidateSearch(fx.states, now, w, scratch)
+				scratch = res.Candidates
+				benchVerdictSink = benchVerdictSink != res.IdleOK
+			}
+		})
+		b.Run(fx.name+"/search", func(b *testing.B) {
+			v := viewFromStates(fx.states, now)
+			stamps := make([]uint64, n)
+			var c Cache
+			var scratch []int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Reset()
+				c.begin(stamps, n)
+				v.hoistN = 0
+				res := v.search(w, scratch, &c)
+				scratch = res.Candidates
+				benchVerdictSink = benchVerdictSink != res.IdleOK
 			}
 		})
 	}

@@ -130,7 +130,7 @@ func TestRecipMutationCaught(t *testing.T) {
 		v.extend(n - 1)
 		for h := 0; h < n; h++ {
 			aok, acur, adl, _ := schedFixpoint(states, h, now, DefaultQuantum)
-			vok, vcur, vdl, _, _ := v.fixpoint(h, DefaultQuantum)
+			vok, vcur, vdl, _, _ := v.fixpoint(h, DefaultQuantum, nil)
 			if aok != vok || acur != vcur || adl != vdl {
 				diverged++
 				break

@@ -150,12 +150,14 @@ type SearchResult struct {
 	Tests int64
 	// FixpointIters and InterferenceTerms tally the Algorithm-3 work behind
 	// those tests: busy-interval iterations run, and interference terms
-	// evaluated. For one test the decision kernel replays the reference's
-	// iteration sequence exactly, while its term count depends on the
-	// evaluation strategy (the reference re-sums every charged stream per
-	// iteration; the kernel advances only the streams whose next arrival was
-	// crossed). Over a whole run both tallies are path-dependent, because
-	// verdict-cache hits on the production path skip fixpoints altogether.
+	// evaluated. Both are path-dependent, and the production search never
+	// exceeds this reference on either: it opens each computed level from
+	// the last passed level's fixpoint (a lower bound of the new one), which
+	// skips iterations and re-sweeps only the streams new to the level, and
+	// it advances only the streams whose next arrival was crossed, where the
+	// reference re-sums every charged stream per iteration. Over a whole run
+	// verdict-cache hits on the production path also skip fixpoints
+	// altogether.
 	FixpointIters     int64
 	InterferenceTerms int64
 }

@@ -122,18 +122,18 @@ type Counters struct {
 	// the Algorithm-3 kernel, maintained by the TimeDice policy (zero under
 	// non-TimeDice policies): busy-interval fixpoint iterations run, and
 	// interference terms actually evaluated (one CeilDiv-and-accumulate
-	// each). FixpointIters is path-independent — the divisionless kernel
-	// replays the reference iteration sequence exactly, and the
-	// indexed-vs-scan differential pins the counter equal across paths.
-	// InterferenceTerms is deliberately path-dependent: the scan/AoS
-	// reference re-sums every charged stream each iteration while the
-	// incremental kernel advances only the streams whose next arrival was
-	// crossed, so the scan-vs-indexed gap in /metrics is the live view of
-	// the kernel's algorithmic savings (the same design as
-	// ArenaBytesTouched). Both depend on verdict-cache warmth (a cache hit
-	// skips the fixpoint entirely), so like the wall-clock measurements they
-	// are excluded from the snapshot/fork digest contract and start at zero
-	// after Restore/Fork.
+	// each). Both are deliberately path-dependent, with indexed ≤ scan:
+	// the scan/AoS reference runs every test from scratch and re-sums every
+	// charged stream each iteration, while the indexed path's candidate
+	// search opens each level from the previous passed level's fixpoint
+	// (fewer iterations) and advances only the streams whose next arrival
+	// was crossed (far fewer terms), and its verdict cache skips fixpoints
+	// altogether. The scan-vs-indexed gap in /metrics is the live view of
+	// those savings (the same design as ArenaBytesTouched); the
+	// indexed-vs-scan differential pins indexed FixpointIters ≤ scan. Both
+	// depend on verdict-cache warmth, so like the wall-clock measurements
+	// they are excluded from the snapshot/fork digest contract and start at
+	// zero after Restore/Fork.
 	FixpointIters     int64
 	InterferenceTerms int64
 }

@@ -116,7 +116,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("timedice_engine_arena_bytes_total", "hot-state bytes touched by the step loop (deterministic cache-traffic proxy)", st.ArenaBytes)
 		gauge("timedice_engine_arena_bytes_per_step", "mean arena bytes touched per engine step", st.ArenaBytesPerStep)
 		counter("timedice_engine_fixpoint_iters_total", "Algorithm-3 busy-interval fixpoint iterations run (deterministic decision-cost proxy)", st.FixpointIters)
-		counter("timedice_engine_interference_terms_total", "Algorithm-3 interference terms evaluated (scan-vs-indexed gap = decision-kernel savings)", st.InterferenceTerms)
+		counter("timedice_engine_interference_terms_total", "Algorithm-3 interference terms evaluated (O(P) per indexed search, O(P^2) per scan search; the gap is the decision-kernel savings)", st.InterferenceTerms)
 		fmt.Fprintf(w, "# HELP timedice_trial_seconds per-trial wall-clock quantiles (stats.Sketch)\n# TYPE timedice_trial_seconds summary\n")
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.5\"} %g\n", st.TrialSecondsP50)
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.9\"} %g\n", st.TrialSecondsP90)
